@@ -1,7 +1,7 @@
 """Overhead of the resource governor on a healthy campaign.
 
 The governor ticks at every unit boundary (serial) and supervision tick
-(parallel), probing RSS/fds/shm/disk each ``assess_every`` ticks.  On a
+(parallel), probing RSS/fds/disk each ``assess_every`` ticks.  On a
 campaign that never breaches a budget the ladder must be free in all but
 name: the governed run must stay within 5% of an ungoverned run of the
 same work, or robustness has become a tax on the happy path.  The
@@ -32,8 +32,7 @@ OVERHEAD_CONFIG = QUICK.scaled(rows_per_region=12,
 def _make_governor():
     """Real system probes, generous budgets: assessed, never breached."""
     return ResourceGovernor(
-        budgets=GovernorBudgets(rss_bytes=1 << 40, open_fds=1 << 20,
-                                shm_bytes=1 << 40),
+        budgets=GovernorBudgets(rss_bytes=1 << 40, open_fds=1 << 20),
         policy=GovernorPolicy())
 
 

@@ -72,12 +72,11 @@ def spatial_result():
 
 
 #: ``(slow-suffix, fast-suffix)`` benchmark pairs whose speedup is
-#: recorded per run: pointwise-vs-grid oracle sweeps, and the zero-copy
-#: data plane's pickled-vs-shm / rebuild-vs-attach pairs (the latter two
-#: are gated to >= 2x by ``tools/bench_compare.py``).
+#: recorded per run: pointwise-vs-grid oracle sweeps, and the shared
+#: arena's rebuild-vs-attach pair (gated to >= 2x by
+#: ``tools/bench_compare.py``).
 SPEEDUP_SUFFIXES = (
     ("_pointwise", "_grid"),
-    ("_pickled", "_shm"),
     ("_rebuild", "_attach"),
 )
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ConfigError
 
@@ -44,7 +43,11 @@ def mean_confidence_interval(values: Sequence[float],
     """Mean and symmetric t-based confidence interval (Fig. 4 error bars).
 
     Returns ``(mean, low, high)``.  Degenerate samples collapse to the mean.
+    scipy is imported here, its only use: importing it costs most of the
+    CLI's start-up time, and most commands never build an interval.
     """
+    from scipy import stats as sps
+
     array = _as_array(values)
     if array.size == 0:
         return float("nan"), float("nan"), float("nan")

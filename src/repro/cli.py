@@ -88,18 +88,13 @@ def _add_governor_args(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument("--governor", action="store_true",
                         help="enable the resource governor: under "
-                             "RSS/shm/fd/disk pressure the run degrades "
-                             "down a deterministic ladder (shrink caches, "
-                             "pickle data plane, serial, shed, park) "
-                             "instead of crashing; results stay "
-                             "byte-identical at every rung")
+                             "RSS/fd/disk pressure the run degrades down "
+                             "a deterministic ladder (shrink caches, "
+                             "serial, shed, park) instead of crashing; "
+                             "results stay byte-identical at every rung")
     parser.add_argument("--rss-budget-mb", type=int, default=None,
                         metavar="MB",
                         help="process RSS ceiling (implies --governor)")
-    parser.add_argument("--shm-budget-mb", type=int, default=None,
-                        metavar="MB",
-                        help="/dev/shm data-plane ceiling (implies "
-                             "--governor)")
     parser.add_argument("--fd-budget", type=int, default=None, metavar="N",
                         help="open file-descriptor ceiling (implies "
                              "--governor)")
@@ -184,14 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="extra dispatches a module may consume "
                                "after losing its worker before it is "
                                "quarantined (default: 2)")
-    campaign.add_argument("--data-plane", default="auto",
-                          choices=("auto", "shm", "pickle"),
-                          help="how worker results travel home (workers "
-                               "> 1): 'shm' publishes into shared-memory "
-                               "segments the parent merges by view, "
-                               "'pickle' ships them through the pool "
-                               "pipe; results are byte-identical either "
-                               "way (default: auto = shm when available)")
     campaign.add_argument("--shared-cache-entries", type=int, default=None,
                           metavar="N",
                           help="bound on the worker-side oracle matrix "
@@ -374,7 +361,6 @@ def _build_governor_from_args(args, faults=None):
         load_governor_config(),
         enabled=args.governor,
         rss_budget_mb=args.rss_budget_mb,
-        shm_budget_mb=args.shm_budget_mb,
         fd_budget=args.fd_budget,
         disk_headroom_mb=args.disk_headroom_mb,
         cache_entry_budget=args.cache_entry_budget,
@@ -449,7 +435,6 @@ def _campaign(args, config: config_mod.StudyConfig) -> int:
                 supervisor=SupervisorPolicy(
                     module_deadline_s=config.module_deadline_s,
                     max_requeues=args.max_requeues),
-                data_plane=args.data_plane,
                 shared_cache_entries=resolve_cache_setting(
                     args.shared_cache_entries,
                     cache_config.shared_cache_entries),

@@ -20,7 +20,6 @@ The resource governor's budgets live in ``[tool.deeprh.governor]``::
 
     [tool.deeprh.governor]
     rss_budget_mb = 2048
-    shm_budget_mb = 512
     fd_budget = 512
     disk_headroom_mb = 256
     cache_entry_budget = 4096
@@ -112,7 +111,6 @@ class GovernorConfig:
     """``[tool.deeprh.governor]``: unset budgets disable that axis."""
 
     rss_budget_mb: Optional[int] = None
-    shm_budget_mb: Optional[int] = None
     fd_budget: Optional[int] = None
     disk_headroom_mb: Optional[int] = None
     cache_entry_budget: Optional[int] = None
@@ -123,11 +121,11 @@ class GovernorConfig:
     def any_budget(self) -> bool:
         """True when at least one budget axis is configured."""
         return any(value is not None for value in (
-            self.rss_budget_mb, self.shm_budget_mb, self.fd_budget,
+            self.rss_budget_mb, self.fd_budget,
             self.disk_headroom_mb, self.cache_entry_budget))
 
 
-_GOVERNOR_KEYS = ("rss_budget_mb", "shm_budget_mb", "fd_budget",
+_GOVERNOR_KEYS = ("rss_budget_mb", "fd_budget",
                   "disk_headroom_mb", "cache_entry_budget",
                   "assess_every", "recover_after")
 

@@ -67,43 +67,25 @@ class SharedMatrixCache:
     one lock, so concurrent requests in server threads stay coherent.
     """
 
-    def __init__(self, entries: int = 4096, arena=None) -> None:
+    def __init__(self, entries: int = 4096) -> None:
         if entries < 1:
             raise ValueError("shared matrix cache needs at least one entry")
         self.entries = int(entries)
         self._lock = threading.Lock()
         self._cache: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray]]" = \
             OrderedDict()
-        #: Optional cross-process tier (a :class:`~repro.faultmodel.
-        #: shared_arena.SharedArena`): local misses attach to matrices
-        #: other worker processes already built, local puts publish for
-        #: them.  Purity of the keys makes either tier bit-identical.
-        self.arena = arena
 
     def get(self, key: tuple) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         with self._lock:
             parts = self._cache.get(key)
             if parts is not None:
                 self._cache.move_to_end(key)
-                return parts
-        if self.arena is not None:
-            parts = self.arena.fetch(key)
-            if parts is not None:
-                get_metrics().counter("oracle.arena.attach").inc()
-                self._insert(key, parts)
-                return parts
-        return None
+            return parts
 
     def put(self, key: tuple,
             parts: Tuple[np.ndarray, np.ndarray]) -> None:
         for array in parts:
             array.setflags(write=False)
-        if self.arena is not None and self.arena.store(key, parts):
-            get_metrics().counter("oracle.arena.store").inc()
-        self._insert(key, parts)
-
-    def _insert(self, key: tuple,
-                parts: Tuple[np.ndarray, np.ndarray]) -> None:
         # No size gauge here: the cache outlives any one module, so its
         # size reflects worker-process history (which modules this pool
         # worker happened to run) — scheduling state, not seed state,

@@ -1,87 +1,20 @@
-"""Hot-loop kernels for the batched oracle, with an optional numba tier.
+"""Hot-loop kernel for the batched oracle.
 
 The HCfirst binary search against an analytic threshold is a *step
 function* of the threshold: the search only ever compares against the
 finite set of reachable hammer counts, so its answer at any threshold is
 the answer at the smallest reachable count >= the threshold (see
 :mod:`repro.testing.hcfirst`).  That turns a per-grid-point search into
-one ``searchsorted`` lookup through a precomputed table — this module
-owns that lookup so both the testing layer and the batched oracle share
-one implementation.
-
-Kernel tiers:
-
-* ``numpy`` (default, always available): vectorized ``searchsorted`` +
-  gather.  This *is* the fast path — the searchsorted restructure already
-  removed the per-point Python loop.
-* ``numba`` (optional extra, dormant by default): a parallel JIT of the
-  same lookup, enabled only when the ``numba`` package is importable
-  *and* ``DEEPRH_KERNEL=numba`` is set.  Per the benchmark gate policy,
-  it ships disabled until ``tools/bench_compare.py`` proves it >2x faster
-  than the numpy tier on this machine — numerics are integer lookups, so
-  either tier is bit-identical by construction.
+one vectorized ``searchsorted`` + gather through a precomputed table —
+this module owns that lookup so both the testing layer and the batched
+oracle share one implementation.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
 from typing import Optional
 
 import numpy as np
-
-#: Environment switch for the kernel tier: unset/"numpy" = vectorized
-#: numpy, "numba" = JIT (requires the optional numba extra).
-KERNEL_ENV = "DEEPRH_KERNEL"
-
-_NUMBA_LOOKUP = None
-_NUMBA_FAILED = False
-
-
-def numba_available() -> bool:
-    """True when the optional numba extra is importable."""
-    try:
-        importlib.import_module("numba")
-    except ImportError:
-        return False
-    return True
-
-
-def active_kernel() -> str:
-    """The kernel tier lookups run on: ``"numpy"`` or ``"numba"``."""
-    if os.environ.get(KERNEL_ENV, "").lower() == "numba" \
-            and _numba_lookup() is not None:
-        return "numba"
-    return "numpy"
-
-
-def _numba_lookup():
-    """Compile the numba tier once; None when unavailable."""
-    global _NUMBA_LOOKUP, _NUMBA_FAILED
-    if _NUMBA_LOOKUP is not None or _NUMBA_FAILED:
-        return _NUMBA_LOOKUP
-    try:
-        numba = importlib.import_module("numba")
-
-        @numba.njit(cache=True)
-        def lookup(breaks, results, limits, out):  # pragma: no cover
-            n = breaks.shape[0]
-            for j in range(limits.shape[0]):
-                limit = limits[j]
-                lo, hi = 0, n
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if breaks[mid] < limit:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                out[j] = results[lo] if lo < n else -1
-            return out
-
-        _NUMBA_LOOKUP = lookup
-    except Exception:  # pragma: no cover - any import/compile failure
-        _NUMBA_FAILED = True
-    return _NUMBA_LOOKUP
 
 
 def step_lookup(breaks: np.ndarray, results: np.ndarray,
@@ -98,8 +31,6 @@ def step_lookup(breaks: np.ndarray, results: np.ndarray,
     limits = np.ascontiguousarray(limits, dtype=np.float64)
     if out is None:
         out = np.empty(limits.shape, dtype=np.int64)
-    if active_kernel() == "numba":  # pragma: no cover - extra not baked in
-        return _numba_lookup()(breaks, results, limits, out)
     index = np.searchsorted(breaks, limits, side="left")
     np.take(results, np.minimum(index, len(breaks) - 1), out=out)
     out[index >= len(breaks)] = -1

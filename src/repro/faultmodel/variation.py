@@ -17,7 +17,6 @@ module is the same device every time it is instantiated.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.dram.geometry import Geometry
 from repro.faultmodel.profiles import MfrProfile, REFERENCE_TEMPERATURE_C

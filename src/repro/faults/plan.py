@@ -56,15 +56,6 @@ SITES: Dict[str, Tuple[str, ...]] = {
     # rolled inside worker processes, keyed by (module_id, dispatch), so a
     # requeued module re-rolls and the campaign converges.
     "campaign.worker": ("crash", "hang"),
-    # Zero-copy data-plane faults: "crash" kills the worker *after* it
-    # published its result into a shared-memory segment but before
-    # reporting it — the parent must requeue the module and sweep the
-    # orphaned segment.  "exhausted" simulates /dev/shm running out of
-    # space at publish time: the worker must fall back to the pickled
-    # data plane in-band instead of dying.  Rolled inside workers, keyed
-    # by (module_id, dispatch) like campaign.worker so requeued
-    # dispatches re-roll.
-    "campaign.shm": ("crash", "exhausted"),
     # Checkpoint publish fails mid-write with a full disk (ENOSPC): the
     # temp file is left torn and the raise must not leak it nor journal
     # an unverifiable entry.  Keyed by (module_id, publish-count).

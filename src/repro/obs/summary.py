@@ -165,17 +165,15 @@ def _metric_lines(metrics: Dict[str, Any]) -> List[str]:
                      f"{fires('oracle.cache.miss')} miss "
                      f"({rate:.1%} hit rate, "
                      f"{fires('oracle.grid.solves')} grid solve(s))")
-    # Parallel campaigns route matrix lookups through the shared cache
-    # (and its cross-worker arena tier) instead of the private LRU.
+    # Parallel campaigns route matrix lookups through the per-worker
+    # shared cache instead of the private LRU.
     rate = hit_rate(metrics, "oracle.shared_cache.hit",
                     "oracle.shared_cache.miss")
     if rate is not None:
         lines.append(f"  shared cache : "
                      f"{fires('oracle.shared_cache.hit')} hit / "
                      f"{fires('oracle.shared_cache.miss')} miss "
-                     f"({rate:.1%} hit rate, "
-                     f"{fires('oracle.arena.attach')} arena attach(es), "
-                     f"{fires('oracle.arena.store')} arena store(s))")
+                     f"({rate:.1%} hit rate)")
     if any(name.startswith("supervisor.") for name in counters):
         lines.append(f"  supervisor   : {fires('supervisor.dispatch')} "
                      f"dispatch(es), {fires('supervisor.complete')} "

@@ -16,7 +16,6 @@ from repro.runner.governor import (
     RUNG_NAMES,
     RUNG_NORMAL,
     RUNG_PARK,
-    RUNG_PICKLE_PLANE,
     RUNG_SERIAL,
     RUNG_SHED,
     RUNG_SHRINK_CACHES,
@@ -71,7 +70,6 @@ __all__ = [
     "RUNG_NAMES",
     "RUNG_NORMAL",
     "RUNG_PARK",
-    "RUNG_PICKLE_PLANE",
     "RUNG_SERIAL",
     "RUNG_SHED",
     "RUNG_SHRINK_CACHES",

@@ -32,8 +32,6 @@ from __future__ import annotations
 import errno
 import json
 import pathlib
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,7 +59,6 @@ from repro.obs import (
 )
 from repro.rng import SeedSequenceTree
 from repro.runner import cancel as cancel_mod
-from repro.runner import gridblob, shm
 from repro.runner.adapters import StudyAdapter, adapter_for
 from repro.runner.cancel import CancelToken
 from repro.runner.checkpoint import (
@@ -206,7 +203,6 @@ class CampaignRunner:
                  on_module: Optional[Callable[[str, Dict, bool], None]]
                  = None,
                  on_supervision: Optional[Callable] = None,
-                 data_plane: str = "auto",
                  shared_cache_entries: Optional[int] = None,
                  row_cache_rows: Optional[int] = None,
                  governor: Optional[ResourceGovernor] = None,
@@ -214,9 +210,6 @@ class CampaignRunner:
                  trace: Optional[TraceContext] = None) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        if data_plane not in ("auto", "shm", "pickle"):
-            raise ConfigError("data_plane must be 'auto', 'shm', or "
-                              "'pickle'")
         self.config = config
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
@@ -240,13 +233,6 @@ class CampaignRunner:
         #: `deeprh serve` uses to feed its circuit breaker with
         #: respawn/worker-lost signals as they happen.
         self.on_supervision = on_supervision
-        #: How completed module payloads travel home from workers:
-        #: ``"shm"`` publishes format-3 blobs into shared-memory segments
-        #: the parent merges by view, ``"pickle"`` ships payloads through
-        #: the pool's result pipe, ``"auto"`` picks shm whenever workers
-        #: > 1 and the platform supports it.  Results are byte-identical
-        #: either way; this is purely a transport choice.
-        self.data_plane = data_plane
         #: Worker-side cache bounds (None = library defaults): the
         #: BatchOracle shared matrix cache entry count and the
         #: CellPopulation row-cache LRU bound, applied inside each worker
@@ -255,7 +241,7 @@ class CampaignRunner:
         self.row_cache_rows = row_cache_rows
         #: Optional resource governor: budgets are assessed at unit/module
         #: boundaries (serial) and supervision ticks (parallel), and the
-        #: degradation ladder adjusts transport/parallelism/caching
+        #: degradation ladder adjusts parallelism/caching
         #: without ever changing result bytes.  Parent-process only — the
         #: ladder steers dispatch, never the science inside workers.
         self.governor = governor
@@ -543,14 +529,6 @@ class CampaignRunner:
             else:
                 pending.append(spec)
 
-        plane = self.data_plane
-        if plane == "auto":
-            plane = shm.default_plane(self.workers)
-        if self.governor is not None:
-            plane = self.governor.effective_plane(plane)
-        token = shm.campaign_token(self.config.seed, shm.next_nonce()) \
-            if plane == "shm" else None
-
         supervision = SupervisionLog(on_event=self.on_supervision)
         reports: Dict[str, dict] = {}
         lost_by_module: Dict[str, object] = {}
@@ -562,63 +540,29 @@ class CampaignRunner:
             # into its own recorders and ships them home in the report.
             observe = observation_active()
 
-            # Cross-worker matrix arena: matrices any worker builds
-            # become zero-copy views for every other worker (and for
-            # re-dispatches after pool respawns).  Rides the shm plane;
-            # creation failure just loses the sharing.
-            arena = None
-            arena_dir = None
-            if token is not None:
-                try:
-                    from repro.faultmodel.shared_arena import SharedArena
-                    arena_dir = tempfile.mkdtemp(prefix="deeprh-arena-")
-                    arena = SharedArena.create(arena_dir)
-                except OSError:  # pragma: no cover - platform-specific
-                    arena = None
-
             def make_task(spec: ModuleSpec, dispatch: int) -> "_WorkerTask":
                 # Governed dispatch: the ladder is consulted per dispatch,
                 # so a requeue after a mid-run escalation ships with the
-                # degraded transport/caching while earlier dispatches keep
-                # theirs — results are byte-identical either way.
-                governor = self.governor
+                # shrunk caches while earlier dispatches keep theirs —
+                # results are byte-identical either way.
                 entries = self.shared_cache_entries
                 rows = self.row_cache_rows
-                task_arena = arena
-                use_shm = token is not None
-                if governor is not None:
-                    entries = governor.cache_entries_for(entries)
-                    rows = governor.row_cache_rows_for(rows)
-                    if not governor.arena_allowed():
-                        task_arena = None
-                    if governor.plane_degraded():
-                        use_shm = False
-                shm_name = shm.segment_name(token, spec.module_id,
-                                            dispatch) if use_shm else None
+                if self.governor is not None:
+                    entries = self.governor.cache_entries_for(entries)
+                    rows = self.governor.row_cache_rows_for(rows)
                 return _WorkerTask(study=study, config=self.config,
                                    spec=spec, retry=self.retry,
                                    fault_seed=fault_seed,
                                    fault_specs=fault_specs,
                                    dispatch=dispatch,
                                    observe=observe,
-                                   shm_name=shm_name,
                                    shared_cache_entries=entries,
-                                   row_cache_rows=rows,
-                                   arena_name=task_arena.name
-                                   if task_arena is not None else None,
-                                   arena_index=task_arena.index_path
-                                   if task_arena is not None else None,
-                                   arena_lock=task_arena.lock_path
-                                   if task_arena is not None else None)
+                                   row_cache_rows=rows)
 
             on_report = None
-            if token is not None or self.on_module is not None:
+            if self.on_module is not None:
                 def on_report(module_id: str, report: dict) -> None:
-                    if "shm" in report:
-                        self._reclaim_report(study, module_id, report,
-                                             store, metrics)
-                    if self.on_module is not None \
-                            and report.get("status") == "ok":
+                    if report.get("status") == "ok":
                         self.on_module(module_id, report["payload"], False)
 
             on_tick = None
@@ -635,29 +579,11 @@ class CampaignRunner:
                         return f"governor rung {rung_name(rung)}"
                     return None
 
-            try:
-                outcome = CampaignSupervisor(
-                    _run_module_worker, make_task, workers=self.workers,
-                    policy=self.supervisor, log=supervision,
-                    cancel=self.cancel, on_report=on_report,
-                    on_tick=on_tick).run(pending)
-            finally:
-                if token is not None:
-                    # Crash hygiene: unlink every segment any dispatch
-                    # could have created.  Reclaimed segments are already
-                    # gone; this only finds orphans published by workers
-                    # that died before reporting (campaign.shm chaos).
-                    leaked = shm.sweep(token, [
-                        (event.module_id, event.dispatch)
-                        for event in supervision.events
-                        if event.kind == "dispatch"])
-                    if leaked:
-                        metrics.counter("campaign.shm.swept").inc(
-                            len(leaked))
-                if arena is not None:
-                    arena.destroy()
-                if arena_dir is not None:
-                    shutil.rmtree(arena_dir, ignore_errors=True)
+            outcome = CampaignSupervisor(
+                _run_module_worker, make_task, workers=self.workers,
+                policy=self.supervisor, log=supervision,
+                cancel=self.cancel, on_report=on_report,
+                on_tick=on_tick).run(pending)
             reports = outcome.reports
             lost_by_module = {err.module_id: err for err in outcome.lost}
             first_error = outcome.first_error
@@ -711,18 +637,11 @@ class CampaignRunner:
                     attempts=report["attempts"], cause=report["cause"]))
                 metrics.counter("campaign.modules_quarantined").inc()
                 continue
-            if report.get("plane_degraded"):
-                # The worker's shm publish failed (real or injected) and
-                # it fell back to the pickled plane in-band.  Latch the
-                # ladder so no further dispatch targets a full tmpfs.
-                metrics.counter("campaign.shm.exhausted").inc()
-                if self.governor is not None:
-                    self.governor.record_shm_exhausted(module_id)
             payload = report["payload"]
             completed[module_id] = adapter.from_dict(payload)
             stats.modules_completed += 1
             metrics.counter("campaign.modules_completed").inc()
-            if store is not None and not report.get("persisted"):
+            if store is not None:
                 self._save_checkpoint(store, module_id, payload, study,
                                       specs, completed, quarantined)
         if first_error is not None:
@@ -763,38 +682,6 @@ class CampaignRunner:
                                checkpoint_pruned=pruned,
                                governor=self.governor.snapshot()
                                if self.governor is not None else None)
-
-    # ------------------------------------------------------------------
-    def _reclaim_report(self, study: str, module_id: str, report: dict,
-                        store: Optional[CheckpointStore],
-                        metrics) -> None:
-        """Turn a worker's shm descriptor back into a payload, by view.
-
-        Fires from the supervisor's ``on_report`` seam the moment the
-        report arrives: attach to the segment, verify the descriptor's
-        sha256 over the mapped bytes, write those exact bytes into the
-        checkpoint (no re-encode — byte-identical to the serial path by
-        the codec's canonical-encoding guarantee), decode the payload for
-        the in-memory merge, and unlink the segment.  A segment that is
-        missing or fails verification degrades the report to a quarantine
-        — the same graceful path a worker-side failure takes — rather
-        than killing the dispatch loop.
-        """
-        descriptor = report.pop("shm")
-        try:
-            with shm.reclaim(descriptor) as segment:
-                report["payload"] = gridblob.decode_module(segment.blob)
-                if store is not None:
-                    store.save_blob(module_id, segment.blob)
-                    report["persisted"] = True
-            metrics.counter("campaign.shm.reclaimed").inc()
-        except (shm.SegmentCorruptionError, FileNotFoundError) as error:
-            report.pop("payload", None)
-            report["status"] = "quarantined"
-            report["unit"] = self._unit_id(study, module_id, "publish")
-            report["attempts"] = 1
-            report["cause"] = repr(error)
-            metrics.counter("campaign.shm.degraded").inc()
 
     # ------------------------------------------------------------------
     def _run_module(self, adapter: StudyAdapter, study: str,
@@ -859,71 +746,38 @@ class _WorkerTask:
     #: Mirror of the parent's observation state: when True the worker
     #: records into fresh local recorders and ships them in its report.
     observe: bool = False
-    #: Parent-chosen shared-memory segment name for this dispatch's
-    #: result blob; None ships the payload through the pool pipe instead.
-    shm_name: Optional[str] = None
     #: Worker-side cache bounds (None = library defaults).
     shared_cache_entries: Optional[int] = None
     row_cache_rows: Optional[int] = None
-    #: Cross-worker matrix arena to attach to (None = no arena).
-    arena_name: Optional[str] = None
-    arena_index: Optional[str] = None
-    arena_lock: Optional[str] = None
-
-
-#: Arena this worker process last attached to, memoized by (name, index,
-#: lock) so pool workers reused across modules attach once per campaign
-#: instead of once per dispatch.
-_WORKER_ARENA_KEY: Optional[tuple] = None
-_WORKER_ARENA = None
 
 
 def _apply_worker_cache_bounds(task: _WorkerTask) -> None:
     """Apply the parent's cache bounds inside a worker process.
 
-    Installs a :class:`~repro.faultmodel.batch.SharedMatrixCache` (backed
-    by the campaign's cross-worker arena when one exists) and the
-    row-cache bound before the module runs.  Cache tiers only change
-    where matrices come from, never their bytes, so this is invisible to
-    the science — and to the serial/parallel byte-parity contract.
+    Installs a per-worker :class:`~repro.faultmodel.batch.SharedMatrixCache`
+    LRU and the row-cache bound before the module runs.  Cache bounds
+    only change where matrices come from, never their bytes, so this is
+    invisible to the science — and to the serial/parallel byte-parity
+    contract.
 
-    The local LRU is *fresh per module*: cache keys are namespaced by
-    model identity, so entries from a previous module on this worker can
-    never hit again — carrying them over would only hold dead memory and
-    make eviction counts depend on which modules this pool worker
-    happened to run (scheduling state, which must not reach the
-    seed-deterministic metrics).  Only the arena attachment — the
-    expensive, campaign-wide resource — is memoized across dispatches.
+    The LRU is *fresh per module*: cache keys are namespaced by model
+    identity, so entries from a previous module on this worker can never
+    hit again — carrying them over would only hold dead memory and make
+    eviction counts depend on which modules this pool worker happened to
+    run (scheduling state, which must not reach the seed-deterministic
+    metrics).
     """
-    global _WORKER_ARENA_KEY, _WORKER_ARENA
     if task.row_cache_rows is not None:
         from repro.faultmodel.population import set_default_row_cache_rows
         set_default_row_cache_rows(task.row_cache_rows)
-    if task.arena_name is None and task.shared_cache_entries is None:
+    if task.shared_cache_entries is None:
         return
     from repro.faultmodel.batch import (
         SharedMatrixCache,
         install_shared_matrix_cache,
     )
-    arena = None
-    if task.arena_name is not None:
-        arena_key = (task.arena_name, task.arena_index, task.arena_lock)
-        if arena_key == _WORKER_ARENA_KEY:
-            arena = _WORKER_ARENA
-        else:
-            from repro.faultmodel.shared_arena import SharedArena
-            try:
-                arena = SharedArena.attach(task.arena_name,
-                                           task.arena_index,
-                                           task.arena_lock)
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                arena = None
-            _WORKER_ARENA_KEY = arena_key
-            _WORKER_ARENA = arena
-    entries = task.shared_cache_entries \
-        if task.shared_cache_entries is not None else 4096
-    install_shared_matrix_cache(SharedMatrixCache(entries=entries,
-                                                  arena=arena))
+    install_shared_matrix_cache(
+        SharedMatrixCache(entries=task.shared_cache_entries))
 
 
 def _run_module_worker(task: _WorkerTask) -> dict:
@@ -974,44 +828,7 @@ def _run_module_worker(task: _WorkerTask) -> dict:
                             "attempts": error.attempts,
                             "cause": repr(error.last_cause)}
         else:
-            report = {"status": "ok"}
-            payload = adapter.to_dict(result)
-            if task.shm_name is not None:
-                # Zero-copy publish: encode once as the exact format-3
-                # blob the checkpoint will store, copy it into the
-                # parent-named segment, and report only the descriptor.
-                blob = gridblob.encode_module(
-                    payload, study=task.study,
-                    module_id=task.spec.module_id)
-                event = None
-                if plan is not None:
-                    event = plan.roll("campaign.shm",
-                                      task.spec.module_id,
-                                      f"dispatch{task.dispatch}")
-                if event is not None and event.kind == "exhausted":
-                    # Injected /dev/shm exhaustion: fall back to the
-                    # pickled plane in-band — same payload bytes, just a
-                    # slower ride home — and tell the parent so its
-                    # governor can latch the ladder.
-                    report["payload"] = payload
-                    report["plane_degraded"] = "injected shm exhaustion"
-                else:
-                    try:
-                        descriptor = shm.publish(task.shm_name, blob)
-                    except OSError as error:
-                        # Real tmpfs pressure degrades identically.
-                        report["payload"] = payload
-                        report["plane_degraded"] = \
-                            f"shm publish failed ({error})"
-                    else:
-                        if event is not None:
-                            # Die mid-publish: the segment exists but the
-                            # report never arrives — the parent must
-                            # requeue this module and sweep the orphan.
-                            perform_worker_fault(event)
-                        report["shm"] = descriptor
-            else:
-                report["payload"] = payload
+            report = {"status": "ok", "payload": adapter.to_dict(result)}
     report["stats"] = stats
     report["slept_s"] = getattr(runner.clock, "slept_s", 0.0)
     report["fault_events"] = plan.log.to_dicts() if plan is not None else []

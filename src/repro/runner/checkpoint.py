@@ -467,12 +467,10 @@ class CheckpointStore:
     def save_blob(self, module_id: str, blob: bytes) -> pathlib.Path:
         """Publish an already-encoded format-3 blob for ``module_id``.
 
-        The zero-copy parallel path lands here: a worker encodes the blob
-        once, ships it through shared memory, and the parent writes those
-        exact bytes — no re-encode, no pickle — so the checkpoint file is
-        byte-identical to what :meth:`save` would have written serially.
+        :meth:`save` encodes once and lands here; a caller already
+        holding a blob publishes those exact bytes without a re-encode.
         The blob's identity (study, module) is checked against its header;
-        its block sha was verified by the transport.
+        the caller vouches for its block.
         """
         header = gridblob.read_header(blob)
         if (header.get("study") != self.study

@@ -2,27 +2,25 @@
 
 Long sensitivity sweeps (the paper's 272-chip characterization scaled into
 a service) die ugly deaths under resource pressure: RSS creeps past the
-cgroup limit, ``/dev/shm`` fills with data-plane segments, the descriptor
-table runs out under connection churn, or the checkpoint volume hits
-ENOSPC mid-publish.  Instead of crashing, the governor walks a fixed
-**degradation ladder** — each rung trades throughput for head-room while
+cgroup limit, the descriptor table runs out under connection churn, or the
+checkpoint volume hits ENOSPC mid-publish.  Instead of crashing, the
+governor walks a fixed **degradation ladder** — each rung trades
+throughput for head-room while
 preserving byte-determinism (every module result is a pure function of
-``(seed, spec)``; rungs only change *how* work is transported and
-scheduled, never *what* is computed):
+``(seed, spec)``; rungs only change *how* work is cached and scheduled,
+never *what* is computed):
 
 ====  =============== ====================================================
 rung  name            action
 ====  =============== ====================================================
 0     normal          full configuration
 1     shrink-caches   SharedMatrixCache / row caches clamp to a small
-                      bound; the SharedArena cross-process tier is dropped
-2     pickle-plane    zero-copy shm data plane falls back to pickled
-                      results (no new ``/dev/shm`` segments)
-3     serial          parallel dispatch stops; remaining modules run
+                      bound
+2     serial          parallel dispatch stops; remaining modules run
                       in-process, in spec order
-4     shed            ``deeprh serve`` refuses new campaigns with an
+3     shed            ``deeprh serve`` refuses new campaigns with an
                       explicit 429-style ``shed`` verdict
-5     park            the campaign checkpoints, publishes a resume
+4     park            the campaign checkpoints, publishes a resume
                       manifest (``parked.json``) and stops cleanly
 ====  =============== ====================================================
 
@@ -52,18 +50,20 @@ from repro.obs import get_metrics, get_tracer
 # budget, and recovery steps down one rung at a time.
 RUNG_NORMAL = 0
 RUNG_SHRINK_CACHES = 1
-RUNG_PICKLE_PLANE = 2
-RUNG_SERIAL = 3
-RUNG_SHED = 4
-RUNG_PARK = 5
+RUNG_SERIAL = 2
+RUNG_SHED = 3
+RUNG_PARK = 4
 
-RUNG_NAMES = ("normal", "shrink-caches", "pickle-plane", "serial",
-              "shed", "park")
+RUNG_NAMES = ("normal", "shrink-caches", "serial", "shed", "park")
 
 
 def rung_name(rung: int) -> str:
     """Human label for a rung index (clamped into the ladder)."""
     return RUNG_NAMES[max(RUNG_NORMAL, min(int(rung), RUNG_PARK))]
+
+
+_BUDGET_FIELDS = ("rss_bytes", "open_fds", "disk_free_bytes",
+                  "cache_entries")
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,12 @@ class GovernorBudgets:
     """
 
     rss_bytes: Optional[int] = None
-    shm_bytes: Optional[int] = None
     open_fds: Optional[int] = None
     disk_free_bytes: Optional[int] = None
     cache_entries: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for field in ("rss_bytes", "shm_bytes", "open_fds",
-                      "disk_free_bytes", "cache_entries"):
+        for field in _BUDGET_FIELDS:
             value = getattr(self, field)
             if value is None:
                 continue
@@ -93,9 +91,8 @@ class GovernorBudgets:
                     f"or None, got {value!r}")
 
     def any_set(self) -> bool:
-        return any(getattr(self, field) is not None for field in
-                   ("rss_bytes", "shm_bytes", "open_fds",
-                    "disk_free_bytes", "cache_entries"))
+        return any(getattr(self, field) is not None
+                   for field in _BUDGET_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -134,9 +131,6 @@ class SystemProbes:
     crashing the campaign it is supposed to protect.
     """
 
-    SHM_DIR = "/dev/shm"
-    SHM_PREFIX = "drh"
-
     def rss_bytes(self) -> int:
         try:
             with open("/proc/self/status", "r", encoding="ascii",
@@ -160,22 +154,6 @@ class SystemProbes:
         except OSError:
             return 0
 
-    def shm_bytes(self) -> int:
-        """Bytes held by this library's ``/dev/shm`` data-plane segments."""
-        total = 0
-        try:
-            names = sorted(os.listdir(self.SHM_DIR))
-        except OSError:
-            return 0
-        for name in names:
-            if not name.startswith(self.SHM_PREFIX):
-                continue
-            try:
-                total += os.stat(os.path.join(self.SHM_DIR, name)).st_size
-            except OSError:
-                continue
-        return total
-
     def disk_free_bytes(self, path: str) -> int:
         try:
             return int(shutil.disk_usage(path).free)
@@ -194,7 +172,6 @@ class SystemProbes:
 #: map straight to the rung that relieves them.
 _BREACH_RUNGS = {
     "cache_entries": RUNG_SHRINK_CACHES,
-    "shm_bytes": RUNG_PICKLE_PLANE,
     "open_fds": RUNG_SERIAL,
     "disk_free_bytes": RUNG_SHED,
 }
@@ -253,10 +230,6 @@ class ResourceGovernor:
             else 0
         record("rss_bytes", value, budgets.rss_bytes,
                budgets.rss_bytes is not None and value > budgets.rss_bytes)
-        value = self.probes.shm_bytes() if budgets.shm_bytes is not None \
-            else 0
-        record("shm_bytes", value, budgets.shm_bytes,
-               budgets.shm_bytes is not None and value > budgets.shm_bytes)
         value = self.probes.open_fds() if budgets.open_fds is not None \
             else 0
         record("open_fds", value, budgets.open_fds,
@@ -369,19 +342,6 @@ class ResourceGovernor:
                                  f"checkpoint ENOSPC {detail}".strip())
             get_metrics().counter("governor.enospc").inc()
 
-    def record_shm_exhausted(self, detail: str = "") -> None:
-        """A worker's shm publish failed: latch at *pickle-plane*.
-
-        The failed dispatch already fell back in-band; latching stops the
-        parent from handing out new segment names into a full tmpfs.
-        """
-        with self._lock:
-            self._floor = max(self._floor, RUNG_PICKLE_PLANE)
-            if self._rung < RUNG_PICKLE_PLANE:
-                self._transition(RUNG_PICKLE_PLANE, "escalations",
-                                 f"shm exhausted {detail}".strip())
-            get_metrics().counter("governor.shm_exhausted").inc()
-
     # -- ladder queries -------------------------------------------------
     def rung(self) -> int:
         with self._lock:
@@ -394,12 +354,6 @@ class ResourceGovernor:
     def effective_workers(self, requested: int) -> int:
         return 1 if self.rung() >= RUNG_SERIAL else requested
 
-    def effective_plane(self, plane: str) -> str:
-        return "pickle" if self.rung() >= RUNG_PICKLE_PLANE else plane
-
-    def plane_degraded(self) -> bool:
-        return self.rung() >= RUNG_PICKLE_PLANE
-
     def cache_entries_for(self, requested: Optional[int]) -> Optional[int]:
         if self.rung() < RUNG_SHRINK_CACHES:
             return requested
@@ -411,9 +365,6 @@ class ResourceGovernor:
             return requested
         shrunk = self.policy.shrunk_row_cache_rows
         return shrunk if requested is None else min(requested, shrunk)
-
-    def arena_allowed(self) -> bool:
-        return self.rung() < RUNG_SHRINK_CACHES
 
     def should_shed(self) -> bool:
         return self.rung() >= RUNG_SHED
@@ -454,7 +405,6 @@ class ResourceGovernor:
 
 def build_governor(config=None, *, enabled: bool = False,
                    rss_budget_mb: Optional[int] = None,
-                   shm_budget_mb: Optional[int] = None,
                    fd_budget: Optional[int] = None,
                    disk_headroom_mb: Optional[int] = None,
                    cache_entry_budget: Optional[int] = None,
@@ -472,18 +422,16 @@ def build_governor(config=None, *, enabled: bool = False,
         return getattr(config, key, None) if config is not None else None
 
     rss_mb = pick(rss_budget_mb, "rss_budget_mb")
-    shm_mb = pick(shm_budget_mb, "shm_budget_mb")
     fds = pick(fd_budget, "fd_budget")
     disk_mb = pick(disk_headroom_mb, "disk_headroom_mb")
     entries = pick(cache_entry_budget, "cache_entry_budget")
     flagged = any(value is not None for value in
-                  (rss_budget_mb, shm_budget_mb, fd_budget,
-                   disk_headroom_mb, cache_entry_budget))
+                  (rss_budget_mb, fd_budget, disk_headroom_mb,
+                   cache_entry_budget))
     if not enabled and not flagged:
         return None
     budgets = GovernorBudgets(
         rss_bytes=rss_mb * 1024 * 1024 if rss_mb is not None else None,
-        shm_bytes=shm_mb * 1024 * 1024 if shm_mb is not None else None,
         open_fds=fds,
         disk_free_bytes=disk_mb * 1024 * 1024
         if disk_mb is not None else None,

@@ -411,9 +411,9 @@ def _reset_worker_signals() -> None:
     When the parent runs an asyncio loop with ``add_signal_handler`` (the
     ``deeprh serve`` process), forked workers inherit both the Python-level
     handlers and the loop's signal wakeup fd.  A worker that then receives
-    SIGTERM — which :func:`_terminate_pool` sends at the end of *every*
-    supervised run — would write the signal number into the parent's wakeup
-    pipe, making the parent's loop dispatch its own SIGTERM handler and
+    SIGTERM — which the executor sends to surviving siblings when its pool
+    breaks — would write the signal number into the parent's wakeup pipe,
+    making the parent's loop dispatch its own SIGTERM handler and
     spuriously drain the service.  Resetting both in the child keeps its
     death its own.
     """
@@ -426,12 +426,17 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Kill a pool even when a worker is wedged.
 
     ``shutdown`` alone would join a hung worker forever, so the worker
-    processes are terminated first.  ``_processes`` is a private attribute
-    of :class:`ProcessPoolExecutor`, but there is no public kill switch;
-    the ``getattr`` guard keeps this safe against stdlib refactors (worst
-    case the shutdown blocks as before).
+    processes are killed first.  SIGKILL, not SIGTERM: a worker forked
+    from a parent with a Python SIGTERM handler can take the signal
+    before :func:`_reset_worker_signals` runs, and the reset then drops
+    the pending handler — the worker survives, blocks on a queue lock a
+    killed sibling held, and ``shutdown`` joins it forever.
+    ``_processes`` is a private attribute of :class:`ProcessPoolExecutor`,
+    but there is no public kill switch; the ``getattr`` guard keeps this
+    safe against stdlib refactors (worst case the shutdown blocks as
+    before).
     """
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
-        process.terminate()
+        process.kill()
     pool.shutdown(wait=True, cancel_futures=True)

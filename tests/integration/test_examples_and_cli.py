@@ -1,5 +1,6 @@
 """The shipped examples and CLI flows run end to end."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -111,3 +112,29 @@ class TestCLIStudyPaths:
         assert "recovered: True" in result.stdout        # row mapping recovered
         assert "softest point" in result.stdout
         assert "bit flip(s) in the victim's row" in result.stdout
+
+
+class TestCLIStartup:
+    def test_importing_the_cli_does_not_import_scipy(self):
+        """scipy is loaded only where a confidence interval is computed;
+        the import would otherwise dominate every command's start-up."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] "
+             "== 'scipy'))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("flag", [["--data-plane", "pickle"],
+                                      ["--shm-budget-mb", "64"]])
+    def test_removed_transport_flags_are_rejected(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["campaign", "acttime", *flag])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """Governed campaigns: the degradation ladder never changes result bytes.
 
 The acceptance contract for the resource governor: under injected
-pressure a campaign walks the ladder — shrink caches, pickle plane,
-serial workers, shed, park — and every rung is purely operational.  The
+pressure a campaign walks the ladder — shrink caches, serial workers,
+shed, park — and every rung is purely operational.  The
 final study result is byte-identical to an unpressured run, parks leave
 a resumable manifest, and the serve layer sheds admission cleanly while
 reporting its rung through the ``health`` op.
@@ -18,9 +18,6 @@ from repro.errors import CampaignParked
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import MetricsRegistry, observed
 from repro.runner import (
-    RUNG_NORMAL,
-    RUNG_PICKLE_PLANE,
-    RUNG_SERIAL,
     CampaignRunner,
     GovernorBudgets,
     GovernorPolicy,
@@ -53,9 +50,6 @@ class ScriptedProbes:
         self.calls += 1
         start, stop = self.fd_breach_range
         return 999 if start <= self.calls < stop else 1
-
-    def shm_bytes(self):
-        return 0
 
     def disk_free_bytes(self, path):
         return 1 << 40
@@ -104,7 +98,7 @@ class TestLadderByteParity:
         assert snap["peak_rung"] == "serial"
         assert snap["rung"] == "normal"  # recovered before the end
         assert snap["escalations"] >= 1
-        assert snap["recoveries"] >= 3
+        assert snap["recoveries"] >= 2  # serial -> shrink-caches -> normal
         assert outcome.stats.modules_completed == len(specs)
         assert "governor: peak rung serial" in outcome.degradation_report()
 
@@ -185,24 +179,3 @@ class TestPark:
             CampaignRunner(CONFIG, checkpoint_dir=tmp_path,
                            fault_plan=plan).run("temperature", specs)
 
-
-class TestShmExhaustion:
-    def test_exhausted_shm_degrades_to_pickle_and_latches(self, specs,
-                                                          baseline):
-        """Every worker publish hits injected shm exhaustion: payloads
-        fall back to the pickled plane in-band, the governor latches the
-        pickle-plane floor, and bytes still match the baseline."""
-        plan = FaultPlan(seed=CONFIG.seed, specs=[
-            FaultSpec(site="campaign.shm", kind="exhausted", rate=1.0)])
-        governor = make_governor(ScriptedProbes())
-        metrics = MetricsRegistry()
-        with observed(metrics=metrics):
-            outcome = CampaignRunner(
-                CONFIG, workers=2, fault_plan=plan, data_plane="shm",
-                governor=governor).run("temperature", specs)
-        assert canonical(outcome.result) == baseline
-        assert metrics.counter_value("campaign.shm.exhausted") >= 1
-        snap = outcome.governor
-        assert snap["floor"] == "pickle-plane"
-        assert governor.plane_degraded()
-        assert governor.effective_plane("shm") == "pickle"

@@ -59,9 +59,6 @@ class PressureProbes:
     def open_fds(self):
         return 0
 
-    def shm_bytes(self):
-        return 0
-
     def disk_free_bytes(self, path):
         return self.disk_free
 

@@ -4,10 +4,14 @@ The runner's ``workers > 1`` mode fans module runs out to worker
 processes.  Because modules are mutually independent and all randomness is
 structural (derived from seeds, never from call order), the merged study
 result, the checkpoint files and the quarantine list must match a serial
-run exactly — parallelism is purely a wall-clock optimization.
+run exactly — parallelism is purely a wall-clock optimization.  Worker
+payloads travel home through the pool's pickled result pipe; nothing is
+staged in shared memory or in temp directories.
 """
 
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -39,6 +43,45 @@ def canonical(result) -> str:
     return json.dumps(result_to_dict(result), sort_keys=True)
 
 
+def checkpoint_bytes(directory):
+    return {path.name: path.read_bytes()
+            for path in sorted(directory.glob("module-*.grid"))}
+
+
+@pytest.fixture
+def created(tmp_path, monkeypatch):
+    """Shared-memory segments and temp dirs created while the test runs.
+
+    ``shm_open`` and ``tempfile.mkdtemp`` are wrapped to append what
+    they create to a log file; forked pool workers inherit the wrappers,
+    so creations in any process of the campaign are recorded — including
+    ones removed again before the campaign returns.
+    """
+    posixshmem = pytest.importorskip("_posixshmem")
+    log = tmp_path / "created.log"
+
+    def record(entry: str) -> None:
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(entry + "\n")
+
+    shm_open = posixshmem.shm_open
+    mkdtemp = tempfile.mkdtemp
+
+    def recording_shm_open(name, *args, **kwargs):
+        record(f"shm {name}")
+        return shm_open(name, *args, **kwargs)
+
+    def recording_mkdtemp(*args, **kwargs):
+        path = mkdtemp(*args, **kwargs)
+        record(f"dir {os.path.basename(path)}")
+        return path
+
+    monkeypatch.setattr(posixshmem, "shm_open", recording_shm_open)
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    return lambda: log.read_text(encoding="utf-8").splitlines() \
+        if log.exists() else []
+
+
 class TestParallelEqualsSerial:
     def test_worker_merge_byte_identical(self, specs, uninterrupted_dict):
         serial = CampaignRunner(CONFIG).run("temperature", specs)
@@ -66,6 +109,20 @@ class TestParallelEqualsSerial:
         assert ([r.module_id for r in parallel.quarantined]
                 == [r.module_id for r in serial.quarantined])
 
+    def test_worker_crash_chaos_converges_to_serial_bytes(
+            self, specs, uninterrupted_dict):
+        """A worker killed mid-module is requeued and re-run; the merged
+        result is still byte-identical to the serial run."""
+        victim = specs[2].module_id
+        plan = FaultPlan(seed=CONFIG.seed, specs=[
+            FaultSpec(site="campaign.worker", kind="crash",
+                      match=f"{victim}/dispatch1")])
+        outcome = CampaignRunner(CONFIG, workers=4,
+                                 fault_plan=plan).run("temperature", specs)
+        assert outcome.ok
+        assert outcome.supervision.count("requeue", module_id=victim) >= 1
+        assert result_to_dict(outcome.result) == uninterrupted_dict
+
     def test_quarantine_order_follows_specs(self, specs):
         target = specs[2].module_id
         plan = FaultPlan(seed=CONFIG.seed, specs=[
@@ -85,13 +142,9 @@ class TestParallelCheckpointing:
                                                               specs)
         CampaignRunner(CONFIG, checkpoint_dir=parallel_dir,
                        workers=4).run("temperature", specs)
-        serial_files = sorted(p.name for p in serial_dir.glob("module-*.grid"))
-        parallel_files = sorted(p.name
-                                for p in parallel_dir.glob("module-*.grid"))
-        assert serial_files == parallel_files and serial_files
-        for name in serial_files:
-            assert ((serial_dir / name).read_bytes()
-                    == (parallel_dir / name).read_bytes())
+        serial_files = checkpoint_bytes(serial_dir)
+        assert serial_files
+        assert checkpoint_bytes(parallel_dir) == serial_files
 
     def test_parallel_resume_from_serial_checkpoints(self, tmp_path, specs,
                                                      uninterrupted_dict):
@@ -102,6 +155,46 @@ class TestParallelCheckpointing:
         assert outcome.stats.modules_resumed == 2
         assert outcome.stats.modules_completed == len(specs) - 2
         assert result_to_dict(outcome.result) == uninterrupted_dict
+
+    def test_serial_resume_with_workers_is_byte_identical(
+            self, tmp_path, specs, uninterrupted_dict):
+        """A serial half-campaign resumed with workers leaves the same
+        checkpoint bytes as an uninterrupted serial campaign."""
+        serial_dir = tmp_path / "serial"
+        resumed_dir = tmp_path / "resumed"
+        CampaignRunner(CONFIG, checkpoint_dir=serial_dir).run(
+            "temperature", specs)
+        CampaignRunner(CONFIG, checkpoint_dir=resumed_dir).run(
+            "temperature", specs[:2])
+        outcome = CampaignRunner(CONFIG, checkpoint_dir=resumed_dir,
+                                 resume=True,
+                                 workers=4).run("temperature", specs)
+        assert result_to_dict(outcome.result) == uninterrupted_dict
+        assert checkpoint_bytes(resumed_dir) == checkpoint_bytes(serial_dir)
+
+    def test_parallel_checkpoints_verify_clean(self, tmp_path, specs):
+        from repro.runner.checkpoint import audit_checkpoint_dir
+        CampaignRunner(CONFIG, workers=3,
+                       checkpoint_dir=tmp_path).run("temperature", specs)
+        audit = audit_checkpoint_dir(tmp_path)
+        assert audit.ok
+        assert sorted(audit.verified) == sorted(s.module_id for s in specs)
+
+
+class TestPipeTransport:
+    def test_parallel_campaign_creates_no_shm_segment_or_arena_dir(
+            self, tmp_path, specs, created):
+        """Payloads ride the result pipe: a ``workers=2`` campaign opens
+        no ``drh*``/``psm_*`` shared-memory segment and makes no
+        ``deeprh-arena-*`` temp dir, in the parent or in any worker."""
+        outcome = CampaignRunner(CONFIG, workers=2,
+                                 checkpoint_dir=tmp_path / "ckpt").run(
+            "temperature", specs)
+        assert outcome.stats.modules_completed == len(specs)
+        offending = [entry for entry in created()
+                     if entry.startswith(("shm /drh", "shm /psm_",
+                                          "dir deeprh-arena-"))]
+        assert offending == []
 
 
 class TestParallelGuards:

@@ -6,6 +6,7 @@ from repro.core.toolconfig import (
     CacheConfig,
     find_pyproject,
     load_cache_config,
+    load_governor_config,
     resolve_cache_setting,
 )
 from repro.errors import ConfigError
@@ -110,3 +111,11 @@ class TestDiscovery:
         import pathlib
         repo = pathlib.Path(__file__).resolve().parents[3]
         load_cache_config(str(repo / "pyproject.toml"))
+
+
+class TestGovernorTable:
+    def test_removed_shm_budget_key_is_a_config_error(self, tmp_path):
+        path = write_pyproject(
+            tmp_path, "[tool.deeprh.governor]\nshm_budget_mb = 512\n")
+        with pytest.raises(ConfigError, match="shm_budget_mb"):
+            load_governor_config(path)

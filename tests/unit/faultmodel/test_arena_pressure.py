@@ -1,9 +1,8 @@
-"""SharedArena under pressure: exhaustion, fallback tiers, contention.
+"""SharedArena under pressure: exhaustion and flock contention.
 
-Satellite coverage for the governor PR: a full arena must degrade to the
-per-worker LRU tier (never error, never tear the index), and concurrent
-writers racing on the flock must leave every committed entry fetchable at
-aligned, non-overlapping offsets.
+A full arena must refuse further stores without error and without
+tearing its index, and concurrent writers racing on the flock must leave
+every committed entry fetchable at aligned, non-overlapping offsets.
 """
 
 import pickle
@@ -12,7 +11,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.faultmodel.batch import SharedMatrixCache
 from repro.faultmodel.shared_arena import SharedArena
 from repro.obs import MetricsRegistry, observed
 
@@ -90,37 +88,6 @@ class TestExhaustion:
                 assert mask_lo >= base_hi
                 previous_end = mask_hi
             assert end <= arena.capacity
-        finally:
-            arena.destroy()
-
-
-class TestLocalFallback:
-    def test_cache_degrades_to_local_lru_when_arena_is_full(self, tmp_path):
-        arena = SharedArena.create(str(tmp_path), capacity=1 << 12)
-        try:
-            metrics = MetricsRegistry()
-            with observed(metrics=metrics):
-                cache = SharedMatrixCache(entries=32, arena=arena)
-                big = parts(rows=64, cols=64)  # 32 KiB >> 4 KiB arena
-                cache.put(("ns", "big"), big)
-                # The arena refused, but the per-worker tier still serves.
-                hit = cache.get(("ns", "big"))
-                assert hit is not None
-                np.testing.assert_array_equal(hit[0], big[0])
-                assert arena.fetch(("ns", "big")) is None
-            assert metrics.counter_value("oracle.arena.full") == 1
-            assert metrics.counter_value("oracle.arena.store") == 0
-        finally:
-            arena.destroy()
-
-    def test_fallback_entries_follow_normal_lru_bounds(self, tmp_path):
-        arena = SharedArena.create(str(tmp_path), capacity=1 << 12)
-        try:
-            with observed(metrics=MetricsRegistry()):
-                cache = SharedMatrixCache(entries=4, arena=arena)
-                for index in range(8):
-                    cache.put(("big", index), parts(rows=64, cols=64))
-                assert len(cache) == 4  # bound holds even in fallback
         finally:
             arena.destroy()
 

@@ -1,14 +1,8 @@
-"""The step-function lookup kernel and its tier gating."""
+"""The step-function lookup kernel."""
 
 import numpy as np
-import pytest
 
-from repro.faultmodel.kernels import (
-    KERNEL_ENV,
-    active_kernel,
-    numba_available,
-    step_lookup,
-)
+from repro.faultmodel.kernels import step_lookup
 
 
 def scalar_reference(breaks, results, limit):
@@ -62,19 +56,3 @@ class TestStepLookup:
         out = step_lookup(self.BREAKS, self.RESULTS,
                           np.array([10.0, 20.0, 35.0, 100.0]))
         assert out.tolist() == [1, 2, 3, 9]
-
-
-class TestTierGating:
-    def test_numpy_is_the_default_tier(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert active_kernel() == "numpy"
-
-    def test_numba_tier_requires_the_extra(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "numba")
-        if numba_available():  # pragma: no cover - extra not baked in
-            pytest.skip("numba present: tier activates")
-        assert active_kernel() == "numpy"
-
-    def test_unknown_tier_value_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "cuda")
-        assert active_kernel() == "numpy"

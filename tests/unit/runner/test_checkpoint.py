@@ -230,7 +230,7 @@ class TestAudit:
         assert not audit.ok
         assert "manifest" in audit.problems[0]
 
-
+    """``save_blob``/``load_blob``: publishing and reading raw blobs."""
 class TestBlobStore:
     """``save_blob``/``load_blob``: the zero-copy plane's checkpoint seam."""
 

@@ -11,8 +11,8 @@ from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runner.governor import (
     RUNG_NORMAL,
+    RUNG_NAMES,
     RUNG_PARK,
-    RUNG_PICKLE_PLANE,
     RUNG_SERIAL,
     RUNG_SHED,
     RUNG_SHRINK_CACHES,
@@ -27,10 +27,9 @@ from repro.runner.governor import (
 class FakeProbes:
     """Scripted readings; each axis is a plain settable attribute."""
 
-    def __init__(self, rss=0, fds=0, shm=0, disk_free=1 << 40, entries=0):
+    def __init__(self, rss=0, fds=0, disk_free=1 << 40, entries=0):
         self.rss = rss
         self.fds = fds
-        self.shm = shm
         self.disk_free = disk_free
         self.entries = entries
 
@@ -39,9 +38,6 @@ class FakeProbes:
 
     def open_fds(self):
         return self.fds
-
-    def shm_bytes(self):
-        return self.shm
 
     def disk_free_bytes(self, path):
         return self.disk_free
@@ -64,7 +60,7 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GovernorBudgets(open_fds=-1)
         with pytest.raises(ConfigError):
-            GovernorBudgets(shm_bytes=True)
+            GovernorBudgets(cache_entries=True)
 
     def test_policy_rejects_non_positive(self):
         with pytest.raises(ConfigError):
@@ -76,6 +72,12 @@ class TestValidation:
         assert rung_name(-5) == "normal"
         assert rung_name(99) == "park"
         assert rung_name(RUNG_SERIAL) == "serial"
+
+    def test_ladder_has_five_rungs(self):
+        assert RUNG_NAMES == ("normal", "shrink-caches", "serial", "shed",
+                              "park")
+        assert [RUNG_NORMAL, RUNG_SHRINK_CACHES, RUNG_SERIAL, RUNG_SHED,
+                RUNG_PARK] == list(range(len(RUNG_NAMES)))
 
 
 class TestLadder:
@@ -90,8 +92,6 @@ class TestLadder:
         cases = [
             (GovernorBudgets(cache_entries=10), FakeProbes(entries=11),
              RUNG_SHRINK_CACHES),
-            (GovernorBudgets(shm_bytes=100), FakeProbes(shm=101),
-             RUNG_PICKLE_PLANE),
             (GovernorBudgets(open_fds=64), FakeProbes(fds=65),
              RUNG_SERIAL),
             (GovernorBudgets(disk_free_bytes=1000),
@@ -105,8 +105,8 @@ class TestLadder:
         probes = FakeProbes(rss=2000)
         gov = governed(GovernorBudgets(rss_bytes=1000), probes)
         seen = [gov.assess() for _ in range(6)]
-        assert seen == [RUNG_SHRINK_CACHES, RUNG_PICKLE_PLANE, RUNG_SERIAL,
-                        RUNG_SHED, RUNG_PARK, RUNG_PARK]
+        assert seen == [RUNG_SHRINK_CACHES, RUNG_SERIAL, RUNG_SHED,
+                        RUNG_PARK, RUNG_PARK, RUNG_PARK]
         assert gov.peak_rung() == RUNG_PARK
 
     def test_multiple_breaches_take_the_max_rung(self):
@@ -156,23 +156,18 @@ class TestLatches:
             gov.assess()
         assert gov.rung() == RUNG_PARK
 
-    def test_shm_exhausted_latches_pickle_plane(self):
-        gov = governed(GovernorBudgets(), FakeProbes(), recover_after=1)
-        gov.record_shm_exhausted("B1")
-        assert gov.rung() == RUNG_PICKLE_PLANE
-        assert gov.plane_degraded()
-        for _ in range(10):
-            gov.assess()
-        assert gov.rung() == RUNG_PICKLE_PLANE
-
     def test_latch_does_not_lower_a_higher_rung(self):
         probes = FakeProbes(rss=99)
         gov = governed(GovernorBudgets(rss_bytes=10), probes)
         for _ in range(4):
             gov.assess()
-        assert gov.rung() == RUNG_SHED
-        gov.record_shm_exhausted()
-        assert gov.rung() == RUNG_SHED  # floor raised, rung untouched
+        assert gov.rung() == RUNG_PARK
+        escalations = gov.snapshot()["escalations"]
+        gov.record_enospc()
+        snap = gov.snapshot()
+        assert gov.rung() == RUNG_PARK  # floor raised, rung untouched
+        assert snap["floor"] == "park"
+        assert snap["escalations"] == escalations
 
 
 class TestTickPacing:
@@ -218,20 +213,18 @@ class TestQueries:
         probes = FakeProbes(rss=99)
         gov = governed(GovernorBudgets(rss_bytes=10), probes)
         assert gov.effective_workers(4) == 4
-        assert gov.effective_plane("shm") == "shm"
         assert gov.cache_entries_for(4096) == 4096
-        assert gov.arena_allowed()
         gov.assess()  # shrink-caches
         assert gov.cache_entries_for(4096) == 64
         assert gov.cache_entries_for(None) == 64
         assert gov.row_cache_rows_for(None) == 64
-        assert not gov.arena_allowed()
-        gov.assess()  # pickle-plane
-        assert gov.effective_plane("shm") == "pickle"
+        assert gov.effective_workers(4) == 4
         gov.assess()  # serial
         assert gov.effective_workers(4) == 1
+        assert not gov.should_shed()
         gov.assess()  # shed
         assert gov.should_shed()
+        assert not gov.should_park()
         gov.assess()  # park
         assert gov.should_park()
 
@@ -271,7 +264,6 @@ class TestBuildGovernor:
     def test_enabled_reads_config_budgets(self):
         class Config:
             rss_budget_mb = 1
-            shm_budget_mb = None
             fd_budget = 256
             disk_headroom_mb = None
             cache_entry_budget = None

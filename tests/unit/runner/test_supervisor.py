@@ -1,6 +1,10 @@
 """Tests for the supervised parallel dispatch loop."""
 
 import os
+import signal
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import pytest
@@ -13,6 +17,7 @@ from repro.runner.supervisor import (
     SupervisionEvent,
     SupervisionLog,
     SupervisorPolicy,
+    _terminate_pool,
 )
 
 pytestmark = pytest.mark.faults
@@ -168,3 +173,34 @@ class TestCampaignSupervisor:
     def test_rejects_zero_workers(self):
         with pytest.raises(ConfigError):
             CampaignSupervisor(_worker, lambda s, d: None, workers=0)
+
+
+def _ignore_sigterm() -> None:
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+
+def _sleep(seconds: float, started: str = "") -> float:
+    if started:
+        open(started, "w").close()
+    time.sleep(seconds)
+    return seconds
+
+
+class TestPoolTeardown:
+    def test_teardown_kills_a_worker_that_survives_sigterm(self, tmp_path):
+        """A worker that outlives SIGTERM (a pending inherited handler
+        dropped by the signal reset has the same effect as ignoring it)
+        must not wedge the pool's teardown."""
+        started = tmp_path / "started"
+        pool = ProcessPoolExecutor(max_workers=1,
+                                   initializer=_ignore_sigterm)
+        pool.submit(_sleep, 600.0, str(started))
+        deadline = time.monotonic() + 60
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists(), "worker never picked up its task"
+        thread = threading.Thread(target=_terminate_pool, args=(pool,),
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "pool teardown wedged on a worker"

@@ -37,9 +37,6 @@ class FakeProbes:
     def open_fds(self):
         return self.fds
 
-    def shm_bytes(self):
-        return 0
-
     def disk_free_bytes(self, path):
         return self.disk_free
 

@@ -46,11 +46,9 @@ PAIR_SUFFIXES = (
 
 #: ``(fast-suffix, slow-suffix, minimum-speedup)`` pairs gated within one
 #: run: the optimized path must beat its baseline partner by at least the
-#: stated factor, or the optimization has silently rotted.  The zero-copy
-#: data plane's acceptance bar (parent merge of a worker wave, and a
-#: shared-arena attach vs a matrix rebuild) is 2x.
+#: stated factor, or the optimization has silently rotted.  The
+#: shared-arena attach vs matrix rebuild bar is 2x.
 SPEEDUP_PAIRS = (
-    ("_shm", "_pickled", 2.0),
     ("_attach", "_rebuild", 2.0),
 )
 

@@ -53,7 +53,7 @@ else
 fi
 
 if [ $fast -eq 0 ]; then
-    step "chaos smoke (supervised workers: crash + hang + shm recovery)"
+    step "chaos smoke (supervised workers: crash + hang recovery)"
     run python tools/faults_smoke.py --chaos
 
     step "governor smoke (degradation ladder: park + resume parity)"
@@ -67,9 +67,6 @@ if [ $fast -eq 0 ]; then
 
     step "obs unit suite (tracer, metrics, summaries)"
     run python -m pytest tests/unit/obs -q
-
-    step "zero-copy data plane benchmarks (pickled-vs-shm, rebuild-vs-attach)"
-    run python -m pytest benchmarks/bench_zero_copy.py --benchmark-only -q
 
     step "governor overhead benchmark (governed-vs-ungoverned, <5% gate)"
     run python -m pytest benchmarks/bench_governor_overhead.py -q

@@ -12,10 +12,8 @@ Usage::
     PYTHONPATH=src python tools/faults_smoke.py --chaos
 
 ``--chaos`` exercises the supervised parallel path instead: a worker is
-crashed and another wedged mid-campaign (``campaign.worker`` faults), a
-worker's shm publish is exhausted (``campaign.shm:exhausted`` — the
-payload falls back to the pickled plane in-band), and the merged report
-must still match a fault-free serial run bit-for-bit with the recovery
+crashed and another wedged mid-campaign (``campaign.worker`` faults), and
+the merged report must still match a fault-free serial run bit-for-bit with the recovery
 visible in the supervision log.
 
 ``--governor`` walks the degradation ladder: ``governor.rss:pressure``
@@ -94,11 +92,9 @@ def chaos_smoke(seed: int) -> int:
                   match=f"{crasher}/dispatch1"),
         FaultSpec(site="campaign.worker", kind="hang", magnitude=60.0,
                   match=f"{sleeper}/dispatch1"),
-        FaultSpec(site="campaign.shm", kind="exhausted",
-                  match=f"{sleeper}/dispatch2"),
     ])
     outcome = CampaignRunner(
-        config, workers=2, fault_plan=plan, data_plane="shm",
+        config, workers=2, fault_plan=plan,
         supervisor=SupervisorPolicy(module_deadline_s=3.0),
     ).run("temperature", specs)
     print(outcome.degradation_report())
@@ -187,7 +183,7 @@ def main() -> int:
                         help="per-unit fault probability (default 0.08)")
     parser.add_argument("--chaos", action="store_true",
                         help="smoke the supervised parallel path with "
-                             "worker crash/hang/shm faults instead")
+                             "worker crash/hang faults instead")
     parser.add_argument("--governor", action="store_true",
                         help="smoke the degradation ladder: forced rss "
                              "pressure parks the campaign, resume reaches "
