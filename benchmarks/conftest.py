@@ -72,12 +72,9 @@ def spatial_result():
 
 
 #: ``(slow-suffix, fast-suffix)`` benchmark pairs whose speedup is
-#: recorded per run: pointwise-vs-grid oracle sweeps, and the shared
-#: arena's rebuild-vs-attach pair (gated to >= 2x by
-#: ``tools/bench_compare.py``).
+#: recorded per run: pointwise-vs-grid oracle sweeps.
 SPEEDUP_SUFFIXES = (
     ("_pointwise", "_grid"),
-    ("_rebuild", "_attach"),
 )
 
 

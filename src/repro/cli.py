@@ -91,7 +91,10 @@ def _add_governor_args(parser: argparse.ArgumentParser) -> None:
                              "RSS/fd/disk pressure the run degrades down "
                              "a deterministic ladder (shrink caches, "
                              "serial, shed, park) instead of crashing; "
-                             "results stay byte-identical at every rung")
+                             "results stay byte-identical at every rung. "
+                             "'deeprh serve' always counts worker-pool "
+                             "losses: 3 step it down to serial, with or "
+                             "without this flag")
     parser.add_argument("--rss-budget-mb", type=int, default=None,
                         metavar="MB",
                         help="process RSS ceiling (implies --governor)")
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run campaigns as a long-lived service on a Unix socket "
-             "(bounded admission, per-request deadlines, circuit-broken "
+             "(bounded admission, per-request deadlines, governed "
              "parallelism, graceful drain on SIGTERM)")
     serve.add_argument("--socket", required=True, metavar="PATH",
                        help="Unix domain socket to listen on")
@@ -236,19 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "campaign.worker:crash=0.1'")
     serve.add_argument("--fault-seed", type=int, default=None,
                        help="seed of the service fault plan (default: 0)")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       metavar="N",
-                       help="worker-pool losses within the window that "
-                            "trip the breaker to serial execution "
-                            "(default: 3)")
-    serve.add_argument("--breaker-window", type=float, default=60.0,
-                       metavar="S",
-                       help="sliding loss-counting window in seconds "
-                            "(default: 60)")
-    serve.add_argument("--breaker-cooldown", type=float, default=120.0,
-                       metavar="S",
-                       help="seconds the breaker stays open before a "
-                            "half-open trial (default: 120)")
     serve.add_argument("--drain-grace", type=float, default=5.0,
                        metavar="S",
                        help="seconds in-flight campaigns get to finish on "
@@ -515,7 +505,6 @@ def _serve(args) -> int:
 
     from repro.faults import parse_fault_plan
     from repro.obs import MetricsRegistry, observed
-    from repro.serve.breaker import BreakerPolicy
     from repro.serve.server import CampaignService
 
     fault_plan = None
@@ -531,9 +520,6 @@ def _serve(args) -> int:
         args.socket,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
-        breaker=BreakerPolicy(threshold=args.breaker_threshold,
-                              window_s=args.breaker_window,
-                              cooldown_s=args.breaker_cooldown),
         fault_plan=fault_plan,
         drain_grace_s=args.drain_grace,
         resume_manifest=args.resume_manifest,

@@ -202,7 +202,6 @@ class CampaignRunner:
                  cancel: Optional[CancelToken] = None,
                  on_module: Optional[Callable[[str, Dict, bool], None]]
                  = None,
-                 on_supervision: Optional[Callable] = None,
                  shared_cache_entries: Optional[int] = None,
                  row_cache_rows: Optional[int] = None,
                  governor: Optional[ResourceGovernor] = None,
@@ -229,10 +228,6 @@ class CampaignRunner:
         #: published, in parallel as worker reports arrive.  `deeprh
         #: serve` streams these to the requesting client.
         self.on_module = on_module
-        #: Listener for every supervision event (workers > 1): the seam
-        #: `deeprh serve` uses to feed its circuit breaker with
-        #: respawn/worker-lost signals as they happen.
-        self.on_supervision = on_supervision
         #: Worker-side cache bounds (None = library defaults): the
         #: BatchOracle shared matrix cache entry count and the
         #: CellPopulation row-cache LRU bound, applied inside each worker
@@ -387,13 +382,15 @@ class CampaignRunner:
         ``checkpoint.publish:enospc``) means no further module can be made
         durable — retrying would only tear more temp files.  With a
         governor the campaign parks on what is already checkpointed; the
-        failed module simply re-runs on resume.  Without a governor the
-        error propagates exactly as before.
+        failed module simply re-runs on resume.  Without one — or with
+        the budget-less governor of an ungoverned service — the error
+        propagates.
         """
         try:
             store.save(module_id, payload)
         except OSError as error:
-            if error.errno == errno.ENOSPC and self.governor is not None:
+            if error.errno == errno.ENOSPC and self.governor is not None \
+                    and self.governor.governed:
                 self.governor.record_enospc(module_id)
                 self._park(study, specs, store, completed, quarantined,
                            f"checkpoint ENOSPC at {module_id}")
@@ -529,7 +526,7 @@ class CampaignRunner:
             else:
                 pending.append(spec)
 
-        supervision = SupervisionLog(on_event=self.on_supervision)
+        supervision = SupervisionLog()
         reports: Dict[str, dict] = {}
         lost_by_module: Dict[str, object] = {}
         first_error: Optional[BaseException] = None
@@ -591,6 +588,11 @@ class CampaignRunner:
             degraded_reason = outcome.degraded_reason
         stats.modules_requeued = supervision.count("requeue")
         stats.workers_respawned = supervision.count("respawn")
+        if self.governor is not None:
+            # Every respawn is a lost pool: the governor, not the caller,
+            # decides when losses are a storm worth running serially.
+            for _ in range(stats.workers_respawned):
+                self.governor.record_pool_loss()
 
         completed: Dict[str, object] = dict(resumed)
         quarantined: List[QuarantineRecord] = []

@@ -1,11 +1,11 @@
-"""Process-wide resource governor driving a deterministic degradation ladder.
+"""Process-wide resource governor: the runtime's one degradation policy.
 
 Long sensitivity sweeps (the paper's 272-chip characterization scaled into
 a service) die ugly deaths under resource pressure: RSS creeps past the
-cgroup limit, the descriptor table runs out under connection churn, or the
-checkpoint volume hits ENOSPC mid-publish.  Instead of crashing, the
-governor walks a fixed **degradation ladder** — each rung trades
-throughput for head-room while
+cgroup limit, the descriptor table runs out under connection churn, the
+checkpoint volume hits ENOSPC mid-publish, or the host keeps killing
+worker pools.  Instead of crashing, the governor walks a fixed
+**degradation ladder** — each rung trades throughput for head-room while
 preserving byte-determinism (every module result is a pure function of
 ``(seed, spec)``; rungs only change *how* work is cached and scheduled,
 never *what* is computed):
@@ -28,8 +28,10 @@ Budgets are compared against **injectable probes** (defaulting to
 ``/proc`` readers), so tests and chaos drills script pressure exactly;
 the ``governor.rss:pressure`` fault site injects synthetic RSS pressure
 through the same seeded :class:`~repro.faults.plan.FaultPlan` machinery
-as every other failure mode.  The governor never reads the wall clock —
-escalation and recovery are paced by *assessment counts* (every
+as every other failure mode.  Worker-pool losses are one more input
+(:meth:`ResourceGovernor.record_pool_loss`): :data:`POOL_LOSS_LIMIT`
+of them escalate to *serial*.  The governor never reads the wall
+clock — escalation and recovery are paced by *assessment counts* (every
 ``assess_every`` ticks), keeping it legal outside the lint wallclock
 allowlist and deterministic under test.
 """
@@ -40,7 +42,7 @@ import os
 import shutil
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.obs import get_metrics, get_tracer
@@ -56,6 +58,14 @@ RUNG_PARK = 4
 
 RUNG_NAMES = ("normal", "shrink-caches", "serial", "shed", "park")
 
+#: Worker-pool losses (respawns) that escalate the ladder to *serial*.
+POOL_LOSS_LIMIT = 3
+
+#: Clamped cache bounds at rung *shrink-caches* and above: shared
+#: matrix-cache entries and per-population row-cache rows.
+SHRUNK_CACHE_ENTRIES = 64
+SHRUNK_ROW_CACHE_ROWS = 64
+
 
 def rung_name(rung: int) -> str:
     """Human label for a rung index (clamped into the ladder)."""
@@ -64,6 +74,12 @@ def rung_name(rung: int) -> str:
 
 _BUDGET_FIELDS = ("rss_bytes", "open_fds", "disk_free_bytes",
                   "cache_entries")
+
+
+def _require_positive(kind: str, field: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"governor {kind} {field} must be a positive "
+                          f"integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,45 +97,26 @@ class GovernorBudgets:
 
     def __post_init__(self) -> None:
         for field in _BUDGET_FIELDS:
-            value = getattr(self, field)
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value <= 0:
-                raise ConfigError(
-                    f"governor budget {field} must be a positive integer "
-                    f"or None, got {value!r}")
-
-    def any_set(self) -> bool:
-        return any(getattr(self, field) is not None
-                   for field in _BUDGET_FIELDS)
+            if getattr(self, field) is not None:
+                _require_positive("budget", field, getattr(self, field))
 
 
 @dataclass(frozen=True)
 class GovernorPolicy:
-    """Pacing and shrink targets for the ladder.
+    """Pacing of the ladder.
 
     ``assess_every`` spaces full probe assessments to one per N ticks
     (ticks are cheap and happen at unit/module/poll boundaries);
     ``recover_after`` consecutive all-clear assessments step the ladder
-    down one rung.  The shrink targets are the clamped cache bounds at
-    rung ``shrink-caches`` and above.
+    down one rung.
     """
 
     assess_every: int = 8
     recover_after: int = 3
-    shrunk_cache_entries: int = 64
-    shrunk_row_cache_rows: int = 64
 
     def __post_init__(self) -> None:
-        for field in ("assess_every", "recover_after",
-                      "shrunk_cache_entries", "shrunk_row_cache_rows"):
-            value = getattr(self, field)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise ConfigError(
-                    f"governor policy {field} must be a positive integer, "
-                    f"got {value!r}")
+        for field in ("assess_every", "recover_after"):
+            _require_positive("policy", field, getattr(self, field))
 
 
 class SystemProbes:
@@ -146,7 +143,6 @@ class SystemProbes:
             return int(usage.ru_maxrss) * 1024
         except Exception:
             return 0
-        return 0
 
     def open_fds(self) -> int:
         try:
@@ -184,6 +180,11 @@ class ResourceGovernor:
     task while campaign threads tick it at module boundaries.  All state
     transitions are recorded (bounded) and mirrored to obs counters and
     the ``governor.rung`` gauge.
+
+    Constructed without ``budgets`` it is *ungoverned*: it probes no
+    budget axis, a checkpoint ENOSPC is not its business (the campaign
+    fails instead of parking), and only pool losses move it, at most to
+    *serial*.  An ungoverned ``deeprh serve`` holds exactly this.
     """
 
     #: Transition-history bound: enough to show a full climb and descent.
@@ -193,6 +194,7 @@ class ResourceGovernor:
                  probes: Optional[SystemProbes] = None,
                  policy: Optional[GovernorPolicy] = None,
                  faults=None, disk_path: Optional[str] = None) -> None:
+        self._governed = budgets is not None
         self.budgets = budgets if budgets is not None else GovernorBudgets()
         self.probes = probes if probes is not None else SystemProbes()
         self.policy = policy if policy is not None else GovernorPolicy()
@@ -207,8 +209,17 @@ class ResourceGovernor:
         self._clear_streak = 0
         self._escalations = 0
         self._recoveries = 0
+        self._pool_losses = 0
+        #: Shared-cache bound before the first in-place shrink (restored
+        #: on recovery below *shrink-caches*).
+        self._unshrunk_entries: Optional[int] = None
         self._transitions: List[Dict[str, object]] = []
         self._last_readings: Dict[str, Dict[str, object]] = {}
+
+    @property
+    def governed(self) -> bool:
+        """False only for the budget-less governor (no ``budgets``)."""
+        return self._governed
 
     # -- probe plumbing -------------------------------------------------
     def attach_disk_path(self, path: Optional[str]) -> None:
@@ -217,34 +228,24 @@ class ResourceGovernor:
             self.disk_path = path
 
     def _read(self) -> Dict[str, Dict[str, object]]:
-        """One reading per budget axis: value, budget, breached flag."""
-        budgets = self.budgets
-        readings: Dict[str, Dict[str, object]] = {}
+        """One reading per budget axis: value, budget, breached flag.
 
-        def record(axis: str, value: int, budget: Optional[int],
-                   breached: bool) -> None:
+        Only axes with a budget are probed; disk headroom is a floor, the
+        others are ceilings.
+        """
+        readings: Dict[str, Dict[str, object]] = {}
+        for axis in _BUDGET_FIELDS:
+            budget = getattr(self.budgets, axis)
+            value, breached = 0, False
+            if budget is not None and axis == "disk_free_bytes":
+                if self.disk_path:
+                    value = self.probes.disk_free_bytes(self.disk_path)
+                    breached = value < budget
+            elif budget is not None:
+                value = getattr(self.probes, axis)()
+                breached = value > budget
             readings[axis] = {"value": int(value), "budget": budget,
                               "breached": bool(breached)}
-
-        value = self.probes.rss_bytes() if budgets.rss_bytes is not None \
-            else 0
-        record("rss_bytes", value, budgets.rss_bytes,
-               budgets.rss_bytes is not None and value > budgets.rss_bytes)
-        value = self.probes.open_fds() if budgets.open_fds is not None \
-            else 0
-        record("open_fds", value, budgets.open_fds,
-               budgets.open_fds is not None and value > budgets.open_fds)
-        if budgets.disk_free_bytes is not None and self.disk_path:
-            free = self.probes.disk_free_bytes(self.disk_path)
-            record("disk_free_bytes", free, budgets.disk_free_bytes,
-                   free < budgets.disk_free_bytes)
-        else:
-            record("disk_free_bytes", 0, budgets.disk_free_bytes, False)
-        value = self.probes.cache_entries() \
-            if budgets.cache_entries is not None else 0
-        record("cache_entries", value, budgets.cache_entries,
-               budgets.cache_entries is not None
-               and value > budgets.cache_entries)
         return readings
 
     # -- ladder mechanics ----------------------------------------------
@@ -320,6 +321,7 @@ class ResourceGovernor:
                     if (self._clear_streak >= self.policy.recover_after
                             and self._rung > self._floor):
                         self._clear_streak = 0
+                        self._pool_losses = 0
                         self._transition(
                             self._rung - 1, "recoveries",
                             f"{self.policy.recover_after} clear "
@@ -342,6 +344,24 @@ class ResourceGovernor:
                                  f"checkpoint ENOSPC {detail}".strip())
             get_metrics().counter("governor.enospc").inc()
 
+    def record_pool_loss(self) -> None:
+        """A worker pool was lost and respawned: one more pressure signal.
+
+        Losses count until a clear streak steps the ladder down.  The
+        :data:`POOL_LOSS_LIMIT`-th loss escalates to *serial*, where no
+        pool exists to lose; so does any loss while the ladder is still
+        recovering above *normal*.  A loss also restarts the clear streak.
+        """
+        with self._lock:
+            self._pool_losses += 1
+            self._clear_streak = 0
+            get_metrics().counter("governor.pool_losses").inc()
+            if self._rung < RUNG_SERIAL and (
+                    self._pool_losses >= POOL_LOSS_LIMIT
+                    or self._rung > RUNG_NORMAL):
+                self._transition(RUNG_SERIAL, "escalations",
+                                 f"{self._pool_losses} worker-pool loss(es)")
+
     # -- ladder queries -------------------------------------------------
     def rung(self) -> int:
         with self._lock:
@@ -357,20 +377,58 @@ class ResourceGovernor:
     def cache_entries_for(self, requested: Optional[int]) -> Optional[int]:
         if self.rung() < RUNG_SHRINK_CACHES:
             return requested
-        shrunk = self.policy.shrunk_cache_entries
-        return shrunk if requested is None else min(requested, shrunk)
+        return SHRUNK_CACHE_ENTRIES if requested is None \
+            else min(requested, SHRUNK_CACHE_ENTRIES)
 
     def row_cache_rows_for(self, requested: Optional[int]) -> Optional[int]:
         if self.rung() < RUNG_SHRINK_CACHES:
             return requested
-        shrunk = self.policy.shrunk_row_cache_rows
-        return shrunk if requested is None else min(requested, shrunk)
+        return SHRUNK_ROW_CACHE_ROWS if requested is None \
+            else min(requested, SHRUNK_ROW_CACHE_ROWS)
 
     def should_shed(self) -> bool:
         return self.rung() >= RUNG_SHED
 
     def should_park(self) -> bool:
         return self.rung() >= RUNG_PARK
+
+    def apply_cache_policy(self) -> None:
+        """Clamp (or restore) the installed shared matrix cache in place.
+
+        A long-lived service cannot wait for the next campaign to build
+        a smaller cache; memory must come back now.  Idempotent per rung:
+        at *shrink-caches* and above the cache is resized down once
+        (evicting immediately); once the ladder recovers below it the
+        original bound is restored and entries refill lazily.  No
+        installed cache is a no-op.
+        """
+        from repro.faultmodel.batch import shared_matrix_cache
+        cache = shared_matrix_cache()
+        shrunk = self.cache_entries_for(None)
+        with self._lock:
+            if cache is None:
+                return
+            if shrunk is not None:
+                if self._unshrunk_entries is None:
+                    self._unshrunk_entries = cache.entries
+                target = min(cache.entries, shrunk)
+            else:
+                target = max(cache.entries, self._unshrunk_entries or 0)
+                self._unshrunk_entries = None
+            if target == cache.entries:
+                return
+            evicted = cache.resize(target)
+        metrics = get_metrics()
+        if shrunk is None:
+            metrics.counter("serve.cache.restored").inc()
+        else:
+            metrics.counter("serve.cache.shrunk").inc()
+            if evicted:
+                metrics.counter("serve.cache.shrink_evictions").inc(evicted)
+        # The post-resize bound, so a scrape shows governor shrinks
+        # without correlating counter deltas.
+        metrics.gauge("serve.cache.resize.capacity").set(cache.entries)
+        metrics.gauge("serve.cache.resize.occupancy").set(len(cache))
 
     # -- reporting ------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -385,6 +443,7 @@ class ResourceGovernor:
                 "assessments": self._assessments,
                 "escalations": self._escalations,
                 "recoveries": self._recoveries,
+                "pool_losses": self._pool_losses,
                 "readings": {axis: dict(reading) for axis, reading
                              in self._last_readings.items()},
                 "transitions": [dict(t) for t in self._transitions],

@@ -33,6 +33,7 @@ operational.
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -103,18 +104,10 @@ class SupervisionEvent:
 
 
 class SupervisionLog:
-    """Structured, append-only record of every supervision decision.
+    """Structured, append-only record of every supervision decision."""
 
-    ``on_event`` is an optional listener called with every recorded event
-    — the seam ``deeprh serve`` uses to feed its circuit breaker with
-    respawn/worker-lost signals without polling the log.  Listeners must
-    observe and never steer: an exception from one propagates and kills
-    the dispatch loop, exactly like a bug in the supervisor itself.
-    """
-
-    def __init__(self, on_event: Optional[Callable] = None) -> None:
+    def __init__(self) -> None:
         self.events: List[SupervisionEvent] = []
-        self.on_event = on_event
 
     def record(self, event: SupervisionEvent) -> None:
         if event.kind not in EVENT_KINDS:
@@ -124,8 +117,6 @@ class SupervisionLog:
         # One counter per lifecycle kind, so `deeprh trace summarize` can
         # report requeue/respawn rates without replaying the event list.
         get_metrics().counter(f"supervisor.{event.kind}").inc()
-        if self.on_event is not None:
-            self.on_event(event)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -248,8 +239,7 @@ class CampaignSupervisor:
 
         cancelled = False
         degraded_reason = ""
-        pool = ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_reset_worker_signals)
+        pool = self._new_pool()
         try:
             while queue or in_flight:
                 if self.on_tick is not None:
@@ -401,8 +391,18 @@ class CampaignSupervisor:
         _terminate_pool(pool)
         self.log.record(SupervisionEvent(
             "respawn", detail=f"fresh pool of {self.workers} worker(s)"))
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_reset_worker_signals)
+        return self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        """A worker pool on the ``fork`` start method, named explicitly.
+
+        Workers inherit the parent's imported modules and installed
+        caches by forking; Python 3.14 changes the Linux default to
+        forkserver, so the method is pinned rather than implied.
+        """
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_reset_worker_signals,
+            mp_context=multiprocessing.get_context("fork"))
 
 
 def _reset_worker_signals() -> None:

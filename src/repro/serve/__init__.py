@@ -2,19 +2,14 @@
 
 ``deeprh serve`` turns the one-shot campaign CLI into a long-lived,
 admission-controlled service.  See :mod:`repro.serve.server` for the
-robustness model (bounded admission, deadlines, circuit breaker,
-graceful drain) and :mod:`repro.serve.protocol` for the NDJSON wire
-format.
+robustness model (bounded admission, deadlines, one resource governor
+deciding every degradation, graceful drain) and
+:mod:`repro.serve.protocol` for the NDJSON wire format, including the
+``health`` event that carries the governor's ladder state and
+``pool_losses``.
 """
 
 from repro.serve.admission import ADMIT, DRAINING, OVERLOADED, AdmissionController
-from repro.serve.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerPolicy,
-    CircuitBreaker,
-)
 from repro.serve.client import ServeClient, ServeClientError, ServeReply
 from repro.serve.protocol import (
     CampaignRequest,
@@ -25,16 +20,11 @@ from repro.serve.server import CampaignService
 
 __all__ = [
     "ADMIT",
-    "CLOSED",
     "DRAINING",
-    "HALF_OPEN",
-    "OPEN",
     "OVERLOADED",
     "AdmissionController",
-    "BreakerPolicy",
     "CampaignRequest",
     "CampaignService",
-    "CircuitBreaker",
     "ProtocolError",
     "ServeClient",
     "ServeClientError",

@@ -31,8 +31,9 @@ Responses (``event`` discriminates)::
      "result": {...}, "report": "...", "stats": {...}}
     {"event": "error",   "id": "r1", "reason": "deadline", "detail": ...}
     {"event": "status",  "id": "s1", ...}
-    {"event": "health",  "id": "h1", "governed": true, "governor": {...},
-     "admission": {...}, "breaker": {...}, "draining": false}
+    {"event": "health",  "id": "h1", "governed": false,
+     "governor": {"rung": "serial", "pool_losses": 3, ...},
+     "admission": {...}, "draining": false}
     {"event": "pong",    "id": "p1"}
 
 Rejection reasons are :data:`REASON_OVERLOADED`, :data:`REASON_DRAINING`,

@@ -12,15 +12,17 @@ Robustness model, in one paragraph: admission is **bounded and honest**
 (:class:`~repro.serve.admission.AdmissionController` — a full service
 rejects with ``overloaded`` rather than queueing unbounded work), every
 request carries an optional **deadline** and a cooperative
-:class:`~repro.runner.cancel.CancelToken`, a **circuit breaker**
-(:class:`~repro.serve.breaker.CircuitBreaker`) degrades parallel dispatch
-to serial when worker pools keep dying, and SIGTERM/SIGINT triggers a
-**graceful drain**: stop admitting, give in-flight campaigns a grace
-period, then cancel them at module boundaries (completed modules are
-already checkpointed) and write a resume manifest of everything
-interrupted.  The service's own failure modes are injectable through the
-``serve.accept`` / ``serve.request`` / ``serve.stream`` fault sites, so
-the chaos suite can drive all of this deterministically.
+:class:`~repro.runner.cancel.CancelToken`, one process-wide
+:class:`~repro.runner.governor.ResourceGovernor` decides every "run
+less" step (worker-pool losses degrade parallel requests to serial;
+budgets, when configured, also shrink caches, shed and park), and
+SIGTERM/SIGINT triggers a **graceful drain**: stop admitting, give
+in-flight campaigns a grace period, then cancel them at module
+boundaries (completed modules are already checkpointed) and write a
+resume manifest of everything interrupted.  The service's own failure
+modes are injectable through the ``serve.accept`` / ``serve.request`` /
+``serve.stream`` fault sites, so the chaos suite can drive all of this
+deterministically.
 
 Determinism: a campaign result is a pure function of ``(seed, spec)``.
 The service never touches that function — it only decides *when* and
@@ -60,11 +62,9 @@ from repro.obs.trace import (
 )
 from repro.runner import CampaignRunner, RetryPolicy, SupervisorPolicy
 from repro.runner.cancel import CancelToken
-from repro.runner.governor import ResourceGovernor
+from repro.runner.governor import ResourceGovernor, rung_name
 from repro.serve import protocol
 from repro.serve.admission import ADMIT, DRAINING, AdmissionController
-from repro.serve.breaker import BreakerPolicy, CircuitBreaker
-from repro.serve.health import HealthMonitor
 from repro.serve.latency import LatencyTracker
 from repro.serve.protocol import CampaignRequest, ProtocolError
 
@@ -105,7 +105,6 @@ class _Job:
     abort_injected: bool = False
     started: bool = False
     degraded: bool = False
-    pool_lost: bool = False
     modules_streamed: int = 0
     modules_total: int = 0
     flips: int = 0
@@ -116,7 +115,6 @@ class CampaignService:
 
     def __init__(self, socket_path, *,
                  max_inflight: int = 2, max_queue: int = 8,
-                 breaker: Optional[BreakerPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  drain_grace_s: float = 5.0,
                  resume_manifest=None,
@@ -138,7 +136,6 @@ class CampaignService:
         self.socket_path = pathlib.Path(socket_path)
         self.admission = AdmissionController(max_inflight=max_inflight,
                                              max_queue=max_queue)
-        self.breaker = CircuitBreaker(breaker)
         self.fault_plan = fault_plan
         self.drain_grace_s = float(drain_grace_s)
         self.resume_manifest = pathlib.Path(
@@ -159,11 +156,13 @@ class CampaignService:
         self._consumers: List[asyncio.Task] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._prev_cache: Optional[SharedMatrixCache] = None
-        #: Resource governance: the ladder's serve-side face.  Campaigns
-        #: executed by this service share the governor, so pressure seen
-        #: by any request degrades (and recovers) the whole process.
-        self.governor = governor
-        self.health = HealthMonitor(governor)
+        #: The one degradation policy.  Campaigns executed by this
+        #: service share the governor, so pressure (or pool losses) seen
+        #: by any request degrades — and recovers — the whole process.
+        #: Without budgets it is the budget-less governor: pool losses
+        #: only, at most down to serial.
+        self.governor = governor if governor is not None \
+            else ResourceGovernor()
         self.health_interval_s = float(health_interval_s)
         self._health_task: Optional[asyncio.Task] = None
         #: Telemetry plane.  The latency tracker holds wall-clock request
@@ -218,8 +217,7 @@ class CampaignService:
         self._consumers = [
             asyncio.ensure_future(self._consume())
             for _ in range(self.admission.max_inflight)]
-        if self.health.governed:
-            self._health_task = asyncio.ensure_future(self._health_loop())
+        self._health_task = asyncio.ensure_future(self._health_loop())
         if ready is not None:
             ready.set()
         try:
@@ -257,15 +255,22 @@ class CampaignService:
         with contextlib.suppress(OSError):
             self.socket_path.unlink()
 
+    @property
+    def governed(self) -> bool:
+        """True when budgets were requested (flag, config or caller)."""
+        return self.governor.governed
+
     async def _health_loop(self) -> None:
-        """Tick the governor even while the service idles.
+        """The service's tick source: tick the governor even while idle.
 
         Campaigns tick the shared governor from their own loops; this
         task covers the gaps so a starved-but-idle service still climbs
-        (and, crucially, recovers down) the ladder between requests.
+        (and, crucially, recovers down) the ladder between requests, and
+        keeps the installed shared cache clamped to the current rung.
         """
         while True:
-            self.health.tick()
+            self.governor.tick()
+            self.governor.apply_cache_policy()
             await asyncio.sleep(self.health_interval_s)
 
     # ------------------------------------------------------------------
@@ -334,8 +339,6 @@ class CampaignService:
                 # process is at its limit, so shed this connection and
                 # keep serving — a real EMFILE must never kill the loop.
                 get_metrics().counter("serve.accept.emfile").inc()
-                if self.governor is not None:
-                    self.governor.tick()
                 writer.close()
                 return
             if event is not None:
@@ -431,10 +434,9 @@ class CampaignService:
         return protocol.status_event(
             request_id,
             admission=self.admission.snapshot(),
-            breaker=self.breaker.snapshot(),
             draining=self._draining,
-            governed=self.health.governed,
-            governor_rung=self.health.rung_label(),
+            governed=self.governed,
+            governor_rung=rung_name(self.governor.rung()),
             connections=len(self._conns),
             shared_cache_entries=len(cache) if cache is not None else 0,
             shared_cache_capacity=(cache.entries
@@ -449,7 +451,7 @@ class CampaignService:
         """Service-state gauges merged into every scrape.
 
         Everything the ``status``/``health`` ops report numerically —
-        governor rung, admission ledger, breaker counters, shared-cache
+        governor rung and pool losses, admission ledger, shared-cache
         occupancy — flattened to registry-style dotted names so one
         scrape shows the whole service next to the campaign counters.
         """
@@ -461,20 +463,11 @@ class CampaignService:
                 gauges[f"serve.admission.{key}"] = 1.0 if value else 0.0
             elif isinstance(value, (int, float)):
                 gauges[f"serve.admission.{key}"] = float(value)
-        breaker = self.breaker.snapshot()
-        gauges["serve.breaker.open"] = \
-            0.0 if breaker.get("state") == "closed" else 1.0
-        for key in ("trips", "recoveries", "recent_losses"):
-            if key in breaker:
-                gauges[f"serve.breaker.{key}"] = float(breaker[key])
-        health = self.health.snapshot()
+        governor = self.governor.snapshot()
         for key in ("rung_index", "ticks", "assessments",
-                    "escalations", "recoveries"):
-            value = health.get(key)
-            if isinstance(value, (int, float)):
-                gauges[f"serve.governor.{key}"] = float(value)
-        gauges.setdefault("serve.governor.rung_index", 0.0)
-        gauges["serve.governed"] = 1.0 if self.health.governed else 0.0
+                    "escalations", "recoveries", "pool_losses"):
+            gauges[f"serve.governor.{key}"] = float(governor[key])
+        gauges["serve.governed"] = 1.0 if self.governed else 0.0
         gauges["serve.draining"] = 1.0 if self._draining else 0.0
         gauges["serve.connections"] = float(len(self._conns))
         cache = shared_matrix_cache()
@@ -525,13 +518,11 @@ class CampaignService:
                 await writer.wait_closed()
 
     def _health_event(self, request_id: str) -> Dict[str, Any]:
-        snapshot = self.health.snapshot()
         return protocol.health_event(
             request_id,
-            governed=snapshot.pop("governed"),
-            governor=snapshot,
+            governed=self.governed,
+            governor=self.governor.snapshot(),
             admission=self.admission.snapshot(),
-            breaker=self.breaker.snapshot(),
             draining=self._draining)
 
     def _cancel(self, conn: _Connection, request_id: str) -> None:
@@ -566,7 +557,7 @@ class CampaignService:
                     "injected serve.request:reject"))
                 return
             abort_injected = event is not None and event.kind == "abort"
-        if self.health.should_shed():
+        if self.governor.should_shed():
             # Governor rung >= shed: capacity may exist, but resources
             # do not.  Refuse with an explicit verdict the client can
             # distinguish from overload and back off on.
@@ -574,7 +565,7 @@ class CampaignService:
             conn.send(protocol.rejected(
                 request_id, protocol.REASON_SHED,
                 f"resource governor shedding load "
-                f"(rung {self.health.rung_label()}); "
+                f"(rung {rung_name(self.governor.rung())}); "
                 f"poll the health op and retry after recovery"))
             return
         verdict = self.admission.try_admit()
@@ -640,16 +631,10 @@ class CampaignService:
             # aborted before any unit runs (the client gets an explicit
             # error event, never a half-result).
             job.token.cancel("aborted")
-        workers = request.workers
-        if workers > 1 and not self.breaker.allow_parallel():
-            workers = 1
+        workers = self.governor.effective_workers(request.workers)
+        if workers < request.workers:
             job.degraded = True
             metrics.counter("serve.degraded_serial").inc()
-
-        def on_supervision(event) -> None:
-            if event.kind == "respawn":
-                job.pool_lost = True
-                self.breaker.record_loss()
 
         def on_module(module_id: str, payload: Dict[str, Any],
                       resumed: bool) -> None:
@@ -677,7 +662,6 @@ class CampaignService:
                 module_deadline_s=request.config.module_deadline_s),
             cancel=job.token,
             on_module=on_module,
-            on_supervision=on_supervision,
             governor=self.governor,
             shared_cache_entries=self.shared_cache_entries
             if self.shared_cache_entries > 0 else None,
@@ -728,8 +712,6 @@ class CampaignService:
             finally:
                 if deadline_handle is not None:
                     deadline_handle.cancel()
-            if workers > 1 and not job.pool_lost:
-                self.breaker.record_success()
             metrics.counter("serve.requests.completed").inc()
             self._finish_job(job, protocol.result_event(
                 request.id, ok=outcome.ok, degraded=job.degraded,
@@ -797,7 +779,7 @@ class CampaignService:
         job.conn.send(protocol.progress_event(
             job.request.id, module_id=module_id,
             done=job.modules_streamed, total=job.modules_total,
-            flips=job.flips, rung=self.health.rung_label()))
+            flips=job.flips, rung=rung_name(self.governor.rung())))
 
 
 def _count_flips(payload: Dict[str, Any]) -> int:

@@ -2,7 +2,7 @@
 
 One frame per poll interval, composed from the service's own ``status``,
 ``health`` and ``metrics`` ops over the NDJSON socket: admission ledger,
-governor rung, circuit-breaker state, cache hit rates from the scrape
+governor rung and worker-pool losses, cache hit rates from the scrape
 exposition, and per-op request latencies.  Rendering is a pure function
 of the three payloads (:func:`render_frame`), so tests cover the view
 without a terminal or a clock; the CLI loop around it only polls,
@@ -34,7 +34,6 @@ def render_frame(status: Dict[str, Any], health: Dict[str, Any],
     renders a sparser frame, never a crash.
     """
     admission = status.get("admission", {})
-    breaker = status.get("breaker", {})
     latency = status.get("latency", {})
     samples = parse_prometheus(metrics_text) if metrics_text else {}
 
@@ -57,14 +56,14 @@ def render_frame(status: Dict[str, Any], health: Dict[str, Any],
         f"{admission.get('rejected_shed', 0)} shed, "
         f"{admission.get('rejected_draining', 0)} draining)")
     governed = health.get("governed", status.get("governed", False))
-    rung = status.get("governor_rung",
-                      health.get("governor", {}).get("rung", "normal"))
+    governor = health.get("governor", {})
+    rung = status.get("governor_rung", governor.get("rung", "normal"))
     lines.append(f"  governor  : rung {rung}"
                  + ("" if governed else " (ungoverned)"))
     lines.append(
-        f"  breaker   : {breaker.get('state', '?')} "
-        f"({breaker.get('trips', 0)} trip(s), "
-        f"{breaker.get('recent_losses', 0)} recent loss(es))")
+        f"  pool loss : {governor.get('pool_losses', 0)} since the last "
+        f"recovery ({governor.get('escalations', 0)} escalation(s), "
+        f"{governor.get('recoveries', 0)} recovery(ies))")
     lines.append(
         f"  cache     : {status.get('shared_cache_entries', 0)}/"
         f"{status.get('shared_cache_capacity', 0)} entries; hit rates: "

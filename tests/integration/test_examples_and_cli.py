@@ -138,3 +138,14 @@ class TestCLIStartup:
             main(["campaign", "acttime", *flag])
         assert exited.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--breaker-threshold",
+                                      "--breaker-window",
+                                      "--breaker-cooldown"])
+    def test_removed_breaker_flags_are_rejected(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--socket", "unused.sock", flag, "3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

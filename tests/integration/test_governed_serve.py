@@ -5,8 +5,10 @@ clean 429-style rejections instead of OOM kills: requests arriving at
 rung *shed* get an explicit ``rejected`` event naming the rung, the
 ``health`` op exposes the full ladder state to pollers, and once
 pressure clears the service re-admits — with results byte-identical to
-an unpressured solo run.  ``serve.accept:emfile`` chaos proves a client
-that loses its slot can reconnect and carry on.
+an unpressured solo run.  Worker-pool losses are one more governor
+input: enough of them step even an ungoverned service down to serial
+until a clear streak brings it back.  ``serve.accept:emfile`` chaos
+proves a client that loses its slot can reconnect and carry on.
 """
 
 import asyncio
@@ -24,6 +26,7 @@ from repro.runner import (
     GovernorPolicy,
     ResourceGovernor,
 )
+from repro.runner.governor import POOL_LOSS_LIMIT
 from repro.serve import CampaignService, ServeClient, ServeClientError
 from repro.serve.protocol import REASON_SHED, canonical_result_bytes
 
@@ -165,6 +168,48 @@ class TestShedAndRecover:
                 event = client.health()
                 assert event["governed"] is False
                 assert event["governor"]["rung"] == "normal"
+
+
+class TestPoolLosses:
+    def test_pool_loss_storm_degrades_to_serial_then_recovers(
+            self, tmp_path):
+        """Every ``workers=2`` request loses its pool once to an injected
+        worker crash.  The POOL_LOSS_LIMIT-th loss puts the (ungoverned)
+        service on rung *serial*: the next request runs degraded yet
+        byte-identical to a solo run, and clear assessments from the
+        health loop walk the ladder back to *normal*."""
+        victim = tiny_config(230).module_specs()[1].module_id
+        plan = FaultPlan(seed=13, specs=[
+            FaultSpec(site="campaign.worker", kind="crash",
+                      match=f"{victim}/dispatch1")])
+        with ServiceHarness(tmp_path, fault_plan=plan,
+                            health_interval_s=0.05) as harness:
+            with harness.client() as client:
+                losing = 0
+                while client.health()["governor"]["rung"] != "serial":
+                    assert losing < POOL_LOSS_LIMIT, client.health()
+                    reply = client.campaign(
+                        "temperature", seed=230 + losing,
+                        overrides=OVERRIDES, workers=2)
+                    assert reply.ok, (reply.status, reply.detail)
+                    assert not reply.degraded
+                    losing += 1
+                assert losing == POOL_LOSS_LIMIT
+                health = client.health()
+                assert health["governed"] is False
+                assert health["governor"]["pool_losses"] == POOL_LOSS_LIMIT
+
+                reply = client.campaign("temperature", seed=240,
+                                        overrides=OVERRIDES, workers=2)
+                assert reply.ok, (reply.status, reply.detail)
+                assert reply.degraded is True
+                assert reply.stats["workers"] == 1
+                assert reply.result_bytes() == solo_bytes(240)
+
+                event = wait_for_rung(client, "normal")
+                assert event["governor"]["pool_losses"] == 0
+                assert event["governor"]["recoveries"] >= 2
+                assert event["governor"]["peak_rung"] == "serial"
 
 
 class TestAcceptChaos:

@@ -5,17 +5,24 @@ drive it entirely through injected probes — no real /proc reads, no
 sleeps — and assert every ladder movement is deterministic and bounded.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.faultmodel.batch import (
+    SharedMatrixCache,
+    install_shared_matrix_cache,
+)
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runner.governor import (
+    POOL_LOSS_LIMIT,
     RUNG_NORMAL,
     RUNG_NAMES,
     RUNG_PARK,
     RUNG_SERIAL,
     RUNG_SHED,
     RUNG_SHRINK_CACHES,
+    SHRUNK_CACHE_ENTRIES,
     GovernorBudgets,
     GovernorPolicy,
     ResourceGovernor,
@@ -250,6 +257,125 @@ class TestQueries:
         assert "rung serial" in text
         assert "normal -> serial" in text
         assert "open_fds" in text
+
+
+class TestPoolLosses:
+    """Worker-pool losses: the one governor input that is not a
+    budget."""
+
+    def test_losses_below_the_limit_stay_normal(self):
+        gov = governed(GovernorBudgets(), FakeProbes())
+        for _ in range(POOL_LOSS_LIMIT - 1):
+            gov.record_pool_loss()
+        assert gov.rung() == RUNG_NORMAL
+        assert gov.effective_workers(4) == 4
+        assert gov.snapshot()["pool_losses"] == POOL_LOSS_LIMIT - 1
+
+    def test_reaching_the_limit_escalates_to_serial_and_no_further(self):
+        gov = governed(GovernorBudgets(), FakeProbes())
+        for _ in range(POOL_LOSS_LIMIT):
+            gov.record_pool_loss()
+        assert gov.rung() == RUNG_SERIAL
+        assert gov.effective_workers(4) == 1
+        for _ in range(10):
+            gov.record_pool_loss()
+        snap = gov.snapshot()
+        assert gov.rung() == RUNG_SERIAL
+        assert snap["escalations"] == 1
+        assert "worker-pool loss" in snap["transitions"][0]["reason"]
+
+    def test_clear_streak_steps_down_and_resets_the_count(self):
+        gov = governed(GovernorBudgets(), FakeProbes(), recover_after=2)
+        for _ in range(POOL_LOSS_LIMIT):
+            gov.record_pool_loss()
+        assert gov.assess() == RUNG_SERIAL    # streak 1
+        assert gov.assess() == RUNG_SHRINK_CACHES  # streak 2 -> step down
+        assert gov.snapshot()["pool_losses"] == 0
+        gov.assess()
+        assert gov.assess() == RUNG_NORMAL
+        assert gov.snapshot()["recoveries"] == 2
+
+    def test_loss_during_recovery_re_escalates(self):
+        gov = governed(GovernorBudgets(), FakeProbes(), recover_after=2)
+        for _ in range(POOL_LOSS_LIMIT):
+            gov.record_pool_loss()
+        gov.assess()
+        gov.record_pool_loss()  # restarts the clear streak
+        assert gov.assess() == RUNG_SERIAL
+        assert gov.assess() == RUNG_SHRINK_CACHES  # still recovering
+        gov.record_pool_loss()  # one loss, count 1: straight back
+        assert gov.rung() == RUNG_SERIAL
+        assert gov.snapshot()["escalations"] == 2
+
+    def test_budgetless_governor_never_sheds_or_parks(self):
+        class NoProbes:
+            def __getattr__(self, name):
+                raise AssertionError(f"probed {name} without a budget")
+
+        gov = ResourceGovernor(probes=NoProbes(),
+                               policy=GovernorPolicy(assess_every=1))
+        assert not gov.governed
+        assert governed(GovernorBudgets(), FakeProbes()).governed
+        for _ in range(50):
+            gov.record_pool_loss()
+            gov.tick()
+        assert gov.peak_rung() == RUNG_SERIAL
+        assert not gov.should_shed() and not gov.should_park()
+        assert all(not reading["breached"] for reading
+                   in gov.snapshot()["readings"].values())
+
+
+@pytest.fixture
+def installed_cache():
+    previous = install_shared_matrix_cache(None)
+    cache = SharedMatrixCache(entries=100)
+    install_shared_matrix_cache(cache)
+    for index in range(90):
+        cache.put(("key", index), (np.zeros(2), np.ones(2, dtype=bool)))
+    yield cache
+    install_shared_matrix_cache(previous)
+
+
+class TestCachePolicy:
+    def test_shrink_evicts_in_place_and_recovery_restores(
+            self, installed_cache):
+        probes = FakeProbes(fds=99)
+        gov = governed(GovernorBudgets(open_fds=64), probes,
+                       recover_after=1)
+        gov.assess()  # serial (>= shrink-caches)
+        gov.apply_cache_policy()
+        assert installed_cache.entries == SHRUNK_CACHE_ENTRIES
+        assert len(installed_cache) == SHRUNK_CACHE_ENTRIES
+        probes.fds = 1
+        while gov.rung() != RUNG_NORMAL:
+            gov.assess()
+            gov.apply_cache_policy()
+        assert installed_cache.entries == 100  # original bound restored
+
+    def test_shrink_is_idempotent_per_rung(self, installed_cache):
+        gov = governed(GovernorBudgets(open_fds=64), FakeProbes(fds=99))
+        gov.assess()
+        for _ in range(3):
+            gov.apply_cache_policy()
+        assert installed_cache.entries == SHRUNK_CACHE_ENTRIES
+        gov.apply_cache_policy()  # nothing to restore at the same rung
+        assert installed_cache.entries == SHRUNK_CACHE_ENTRIES
+
+    def test_normal_rung_leaves_the_cache_alone(self, installed_cache):
+        gov = governed(GovernorBudgets(), FakeProbes())
+        gov.apply_cache_policy()
+        assert installed_cache.entries == 100
+        assert len(installed_cache) == 90
+
+    def test_no_installed_cache_is_fine(self):
+        previous = install_shared_matrix_cache(None)
+        try:
+            gov = governed(GovernorBudgets(open_fds=64), FakeProbes(fds=99))
+            gov.assess()
+            gov.apply_cache_policy()  # must not raise with no cache
+            assert gov.rung() == RUNG_SERIAL
+        finally:
+            install_shared_matrix_cache(previous)
 
 
 class TestBuildGovernor:

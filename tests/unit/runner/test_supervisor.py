@@ -174,6 +174,26 @@ class TestCampaignSupervisor:
         with pytest.raises(ConfigError):
             CampaignSupervisor(_worker, lambda s, d: None, workers=0)
 
+    def test_every_pool_forks_explicitly(self, monkeypatch):
+        """Both the first pool and each respawned one name the ``fork``
+        start method instead of inheriting the interpreter default
+        (forkserver on Linux from Python 3.14)."""
+        methods = []
+        original = ProcessPoolExecutor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            context = kwargs.get("mp_context")
+            methods.append(context.get_start_method()
+                           if context is not None else None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", recording_init)
+        result = _supervise([_Spec("A0"), _Spec("B1")], crash_on="B1")
+        assert sorted(result.reports) == ["A0", "B1"]
+        assert result.log.count("respawn") >= 1
+        assert len(methods) == 1 + result.log.count("respawn")
+        assert methods == ["fork"] * len(methods)
+
 
 def _ignore_sigterm() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_IGN)

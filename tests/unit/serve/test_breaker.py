@@ -1,134 +1,109 @@
-"""Circuit breaker state machine, driven by a virtual clock."""
+"""Respawn-storm protection, as the resource governor now provides it.
 
-import pytest
+``deeprh serve`` once guarded worker-pool losses with a wall-clock
+circuit breaker (closed → open → half-open).  Pool losses are now one
+more governor input: the limit-th loss sends the ladder to *serial*
+(the old *open*), an ordinary clear-assessment streak steps it back
+down (the old cooldown and trial), and a step down resets the loss
+count (the old window).  These tests pin each of those trip and
+recovery guarantees on the budget-less governor an ungoverned service
+holds, with no wall clock involved.
+"""
 
-from repro.errors import ConfigError
-from repro.serve.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerPolicy,
-    CircuitBreaker,
+from repro.runner.governor import (
+    POOL_LOSS_LIMIT,
+    RUNG_NORMAL,
+    RUNG_SERIAL,
+    RUNG_SHRINK_CACHES,
+    GovernorPolicy,
+    ResourceGovernor,
 )
 
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+RECOVER_AFTER = 2
 
 
-POLICY = BreakerPolicy(threshold=3, window_s=10.0, cooldown_s=30.0)
+def make() -> ResourceGovernor:
+    return ResourceGovernor(
+        policy=GovernorPolicy(assess_every=1, recover_after=RECOVER_AFTER))
 
 
-def make() -> tuple:
-    clock = FakeClock()
-    return CircuitBreaker(POLICY, clock=clock), clock
+def trip(governor: ResourceGovernor) -> None:
+    for _ in range(POOL_LOSS_LIMIT):
+        governor.record_pool_loss()
 
 
 class TestTrip:
     def test_starts_closed_and_allows_parallel(self):
-        breaker, _ = make()
-        assert breaker.state == CLOSED
-        assert breaker.allow_parallel()
+        governor = make()
+        assert governor.rung() == RUNG_NORMAL
+        assert governor.effective_workers(4) == 4
+        assert governor.snapshot()["pool_losses"] == 0
 
     def test_losses_below_threshold_stay_closed(self):
-        breaker, _ = make()
-        breaker.record_loss()
-        breaker.record_loss()
-        assert breaker.state == CLOSED
+        governor = make()
+        for _ in range(POOL_LOSS_LIMIT - 1):
+            governor.record_pool_loss()
+        assert governor.rung() == RUNG_NORMAL
+        assert governor.snapshot()["transitions"] == []
 
     def test_threshold_losses_in_window_trip_open(self):
-        breaker, _ = make()
-        for _ in range(3):
-            breaker.record_loss()
-        assert breaker.state == OPEN
-        assert not breaker.allow_parallel()
-        assert breaker.trips == 1
+        governor = make()
+        trip(governor)
+        assert governor.rung() == RUNG_SERIAL
+        assert governor.effective_workers(4) == 1
+        transition = governor.snapshot()["transitions"][-1]
+        assert (transition["from"], transition["to"]) == ("normal", "serial")
+        assert transition["direction"] == "escalations"
 
     def test_stale_losses_age_out_of_the_window(self):
-        breaker, clock = make()
-        breaker.record_loss()
-        breaker.record_loss()
-        clock.advance(11.0)  # past window_s
-        breaker.record_loss()
-        breaker.record_loss()
-        assert breaker.state == CLOSED
+        governor = make()
+        trip(governor)
+        while governor.rung() != RUNG_NORMAL:
+            governor.assess()
+        # Losses from before the recovery no longer count toward a trip.
+        for _ in range(POOL_LOSS_LIMIT - 1):
+            governor.record_pool_loss()
+        assert governor.rung() == RUNG_NORMAL
 
     def test_losses_while_open_are_ignored(self):
-        breaker, _ = make()
+        governor = make()
+        trip(governor)
         for _ in range(5):
-            breaker.record_loss()
-        assert breaker.trips == 1
+            governor.record_pool_loss()
+        snap = governor.snapshot()
+        assert governor.rung() == RUNG_SERIAL
+        assert snap["escalations"] == 1
+        assert snap["peak_rung"] == "serial"
 
 
 class TestRecovery:
-    def _tripped(self):
-        breaker, clock = make()
-        for _ in range(3):
-            breaker.record_loss()
-        return breaker, clock
-
     def test_cooldown_moves_open_to_half_open(self):
-        breaker, clock = self._tripped()
-        clock.advance(29.0)
-        assert breaker.state == OPEN
-        clock.advance(2.0)
-        assert breaker.state == HALF_OPEN
-
-    def test_half_open_grants_exactly_one_trial(self):
-        breaker, clock = self._tripped()
-        clock.advance(31.0)
-        assert breaker.allow_parallel()       # the trial
-        assert not breaker.allow_parallel()   # everyone else: serial
-        assert not breaker.allow_parallel()
+        governor = make()
+        trip(governor)
+        for _ in range(RECOVER_AFTER - 1):
+            assert governor.assess() == RUNG_SERIAL
+        # One rung down: parallel again, caches still shrunk.
+        assert governor.assess() == RUNG_SHRINK_CACHES
+        assert governor.effective_workers(4) == 4
+        assert governor.cache_entries_for(4096) < 4096
 
     def test_trial_success_closes(self):
-        breaker, clock = self._tripped()
-        clock.advance(31.0)
-        assert breaker.allow_parallel()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow_parallel()
-        assert breaker.recoveries == 1
-
-    def test_trial_loss_reopens_with_fresh_cooldown(self):
-        breaker, clock = self._tripped()
-        clock.advance(31.0)
-        assert breaker.allow_parallel()
-        breaker.record_loss()
-        assert breaker.state == OPEN
-        assert breaker.trips == 2
-        clock.advance(29.0)
-        assert breaker.state == OPEN
-        clock.advance(2.0)
-        assert breaker.state == HALF_OPEN
-
-    def test_success_while_closed_is_a_no_op(self):
-        breaker, _ = make()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.recoveries == 0
+        governor = make()
+        trip(governor)
+        while governor.rung() != RUNG_NORMAL:
+            governor.assess()
+        snap = governor.snapshot()
+        assert governor.effective_workers(4) == 4
+        assert governor.cache_entries_for(4096) == 4096
+        assert snap["recoveries"] == RUNG_SERIAL - RUNG_NORMAL
+        assert snap["pool_losses"] == 0
 
 
 class TestPolicyAndSnapshot:
-    def test_rejects_bad_policy(self):
-        with pytest.raises(ConfigError):
-            BreakerPolicy(threshold=0)
-        with pytest.raises(ConfigError):
-            BreakerPolicy(window_s=0.0)
-        with pytest.raises(ConfigError):
-            BreakerPolicy(cooldown_s=-1.0)
-
     def test_snapshot_reports_state_and_counts(self):
-        breaker, _ = make()
-        breaker.record_loss()
-        snap = breaker.snapshot()
-        assert snap["state"] == CLOSED
-        assert snap["recent_losses"] == 1
-        assert snap["trips"] == 0
+        governor = make()
+        governor.record_pool_loss()
+        snap = governor.snapshot()
+        assert snap["rung"] == "normal"
+        assert snap["pool_losses"] == 1
+        assert snap["escalations"] == 0

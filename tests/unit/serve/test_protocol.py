@@ -140,6 +140,13 @@ class TestEncoding:
                          "done": 2, "total": 4, "flips": 31,
                          "rung": "serial"}
 
+    def test_health_event_shape(self):
+        event = protocol.health_event("h1", governed=True,
+                                      governor={"rung": "normal"})
+        assert event["event"] == "health"
+        assert event["id"] == "h1"
+        assert "health" in protocol.OPS
+
     def test_metrics_op_parses(self):
         payload = parse_line(json.dumps({"op": "metrics", "id": "m1"}))
         assert payload["op"] == "metrics"

@@ -15,14 +15,15 @@ STATUS = {
                   "max_queue": 8, "admitted": 9, "completed": 6,
                   "rejected_overloaded": 1, "rejected_draining": 0,
                   "rejected_shed": 2},
-    "breaker": {"state": "closed", "trips": 1, "recent_losses": 0},
     "latency": {"campaign": {"count": 6, "window": 6, "p50_ms": 410.0,
                              "p95_ms": 512.5, "max_ms": 600.0},
                 "status": {"count": 3, "window": 3, "p50_ms": 0.2,
                            "p95_ms": 0.3, "max_ms": 0.3}},
 }
 
-HEALTH = {"governed": True, "governor": {"rung": "shrink-caches"}}
+HEALTH = {"governed": True,
+          "governor": {"rung": "shrink-caches", "pool_losses": 2,
+                       "escalations": 1, "recoveries": 0}}
 
 METRICS_TEXT = (
     "deeprh_oracle_cache_hit_total 75\n"
@@ -39,7 +40,8 @@ class TestRenderFrame:
         assert "3 total (1 overloaded, 2 shed, 0 draining)" in frame
         assert "rung shrink-caches" in frame
         assert "(ungoverned)" not in frame
-        assert "closed (1 trip(s), 0 recent loss(es))" in frame
+        assert "2 since the last recovery (1 escalation(s), 0 recovery(ies))" \
+            in frame
         assert "48/64 entries" in frame
         assert "oracle 75.0%, shared 80.0%" in frame
         assert "2 trace rotation(s)" in frame

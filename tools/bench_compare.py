@@ -1,15 +1,16 @@
 #!/usr/bin/env python
-"""Compare the last two benchmark runs in ``BENCH_throughput.json``.
+"""Gate the latest benchmark run in ``BENCH_throughput.json``.
 
 The benchmark harness (``benchmarks/conftest.py``) appends one entry per
-``pytest benchmarks/`` invocation.  This tool diffs the latest run against
-the previous one and exits non-zero when any benchmark's mean slowed down
-by more than the tolerance (default 20%), so CI catches performance
-regressions the way the unit suite catches correctness ones.
+``pytest benchmarks/`` invocation, and each invocation usually runs a
+different bench file.  This tool therefore compares every benchmark in
+the latest run with *its own* most recent earlier measurement, whichever
+run that was, and exits non-zero when its mean slowed down by more than
+the tolerance (default 20%), so CI catches performance regressions the
+way the unit suite catches correctness ones.
 
-Benchmarks present in only one of the two runs are reported as *new* or
-*removed* rather than crashing the comparison — renaming or retiring a
-benchmark must not break the gate for everything else.
+A benchmark never measured before is reported as *new*; one measured
+before but absent from the latest run is simply not gated.
 
 Usage::
 
@@ -44,14 +45,6 @@ PAIR_SUFFIXES = (
     ("_scraped", "_unscraped"),
 )
 
-#: ``(fast-suffix, slow-suffix, minimum-speedup)`` pairs gated within one
-#: run: the optimized path must beat its baseline partner by at least the
-#: stated factor, or the optimization has silently rotted.  The
-#: shared-arena attach vs matrix rebuild bar is 2x.
-SPEEDUP_PAIRS = (
-    ("_attach", "_rebuild", 2.0),
-)
-
 
 def _mean(stats) -> float:
     """The mean of one benchmark entry, or ``0.0`` when malformed."""
@@ -61,25 +54,23 @@ def _mean(stats) -> float:
     return float(mean) if isinstance(mean, (int, float)) else 0.0
 
 
-def _speedup_pair_member(name: str) -> bool:
-    """True when a benchmark is one side of a :data:`SPEEDUP_PAIRS` pair.
-
-    Those benchmarks are gated by their *within-run* slow/fast ratio
-    (:func:`speedup_failures`), which both sides measure under the same
-    machine load — the cross-run absolute comparison would only re-test
-    how busy the machine was, so they are excluded from it.
-    """
-    return any(name.endswith(fast_suffix) or name.endswith(slow_suffix)
-               for fast_suffix, slow_suffix, _ in SPEEDUP_PAIRS)
+def previous_results(runs: list) -> dict:
+    """Each benchmark's most recent measurement before the last run."""
+    previous: dict = {}
+    for run in runs[:-1]:
+        previous.update(run.get("results", {}))
+    return previous
 
 
 def compare(previous: dict, latest: dict, tolerance: float) -> list:
-    """Return (name, prev_mean, new_mean, ratio) for regressed benchmarks."""
+    """Return (name, prev_mean, new_mean, ratio) for regressed benchmarks.
+
+    ``previous`` maps benchmark names to their earlier stats (see
+    :func:`previous_results`); ``latest`` is the run being gated.
+    """
     regressions = []
     for name, stats in sorted(latest.get("results", {}).items()):
-        if _speedup_pair_member(name):
-            continue
-        before = _mean(previous.get("results", {}).get(name))
+        before = _mean(previous.get(name))
         after = _mean(stats)
         if before <= 0.0:
             continue
@@ -115,37 +106,6 @@ def pair_failures(latest: dict) -> list:
     return failures
 
 
-def speedup_failures(latest: dict) -> list:
-    """Gate optimized-vs-baseline suffix pairs to a minimum speedup.
-
-    Returns ``(stem, slow_mean, fast_mean, speedup, minimum)`` for each
-    :data:`SPEEDUP_PAIRS` pair present in the latest run whose measured
-    ``slow/fast`` ratio falls below the pair's minimum.
-    """
-    results = latest.get("results", {})
-    failures = []
-    for name, stats in sorted(results.items()):
-        for fast_suffix, slow_suffix, minimum in SPEEDUP_PAIRS:
-            if not name.endswith(fast_suffix):
-                continue
-            stem = name[: -len(fast_suffix)]
-            slow = _mean(results.get(stem + slow_suffix))
-            fast = _mean(stats)
-            if slow <= 0.0 or fast <= 0.0:
-                continue
-            if slow / fast < minimum:
-                failures.append((stem.rstrip("_"), slow, fast,
-                                 slow / fast, minimum))
-    return failures
-
-
-def supervised_pair_failures(latest: dict) -> list:
-    """Back-compat shim: the ``_supervised`` subset of :func:`pair_failures`."""
-    return [(stem, bare, instrumented)
-            for stem, suffix, bare, instrumented in pair_failures(latest)
-            if suffix == "supervised"]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", type=pathlib.Path, default=DEFAULT_JSON,
@@ -165,16 +125,15 @@ def main(argv=None) -> int:
         print(f"{len(runs)} run(s) recorded; need two to compare")
         return 0
 
-    previous, latest = runs[-2], runs[-1]
-    print(f"comparing {previous.get('timestamp', '?')} -> "
-          f"{latest.get('timestamp', '?')} "
+    latest = runs[-1]
+    previous = previous_results(runs)
+    print(f"comparing {latest.get('timestamp', '?')} against each "
+          f"benchmark's most recent earlier measurement "
           f"(tolerance {args.tolerance:.0%})")
-    previous_results = previous.get("results", {})
-    latest_results = latest.get("results", {})
-    for name, stats in sorted(latest_results.items()):
+    for name, stats in sorted(latest.get("results", {}).items()):
         after = _mean(stats)
-        before = _mean(previous_results.get(name))
-        if name not in previous_results:
+        before = _mean(previous.get(name))
+        if name not in previous:
             print(f"  {name:45s} {after * 1e3:9.3f} ms   (new benchmark)")
         elif before <= 0.0:
             print(f"  {name:45s} {after * 1e3:9.3f} ms   "
@@ -183,9 +142,6 @@ def main(argv=None) -> int:
             ratio = after / before
             print(f"  {name:45s} {before * 1e3:9.3f} ms -> "
                   f"{after * 1e3:9.3f} ms  ({ratio:5.2f}x)")
-    for name in sorted(set(previous_results) - set(latest_results)):
-        print(f"  {name:45s} (removed benchmark; was "
-              f"{_mean(previous_results[name]) * 1e3:.3f} ms)")
     for stem, speedup in sorted(latest.get("speedups", {}).items()):
         print(f"  pair speedup [{stem}]: {speedup:.2f}x over baseline")
 
@@ -207,14 +163,6 @@ def main(argv=None) -> int:
         for stem, suffix, bare, instrumented in pairs:
             print(f"  {stem}: baseline {bare * 1e3:.3f} ms -> {suffix} "
                   f"{instrumented * 1e3:.3f} ms")
-    slow_pairs = speedup_failures(latest)
-    if slow_pairs:
-        failed = True
-        print("\nFAIL: optimized benchmark(s) fall short of their "
-              "minimum speedup over the baseline partner:")
-        for stem, slow, fast, speedup, minimum in slow_pairs:
-            print(f"  {stem}: {slow * 1e3:.3f} ms -> {fast * 1e3:.3f} ms "
-                  f"({speedup:.2f}x; need >= {minimum:.1f}x)")
     if failed:
         return 1
     print("\nOK: no benchmark regressed beyond tolerance")
